@@ -100,14 +100,15 @@ loadtest:
 	$(GO) run ./cmd/hdmapctl loadtest -clients 40 -requests 100 -rate 50
 
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeBinary -fuzztime=$(FUZZTIME) ./internal/storage
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBinary$$' -fuzztime=$(FUZZTIME) ./internal/storage
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeBinaryDifferential -fuzztime=$(FUZZTIME) ./internal/storage
 	$(GO) test -run='^$$' -fuzz=FuzzTombstoneDecode -fuzztime=$(FUZZTIME) ./internal/storage
 	$(GO) test -run='^$$' -fuzz=FuzzTrainBoost -fuzztime=$(FUZZTIME) ./internal/update/crowdupdate
 	$(GO) test -run='^$$' -fuzz=FuzzSanitizeTraceID -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz=FuzzVerifyMap -fuzztime=$(FUZZTIME) ./internal/mapverify
 
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeBinary -fuzztime=5m ./internal/storage
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBinary$$' -fuzztime=5m ./internal/storage
 
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...

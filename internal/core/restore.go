@@ -112,3 +112,63 @@ func (m *Map) RestoreRegulatory(r RegulatoryElement) error {
 
 // SetClock restores the logical clock (decoders only).
 func (m *Map) SetClock(c uint64) { m.Clock = c }
+
+// Reserve sizes the element tables for the given number of elements per
+// kind, for a decoder that knows them before it restores. Only a
+// still-empty table is sized.
+func (m *Map) Reserve(points, lines, areas, lanelets, bundles, regs int) {
+	m.points = sized(m.points, points)
+	m.lines = sized(m.lines, lines)
+	m.areas = sized(m.areas, areas)
+	m.lanelets = sized(m.lanelets, lanelets)
+	m.bundles = sized(m.bundles, bundles)
+	m.regs = sized(m.regs, regs)
+}
+
+func sized[T any](table map[ID]*T, n int) map[ID]*T {
+	if n == 0 || len(table) > 0 {
+		return table
+	}
+	return make(map[ID]*T, n)
+}
+
+// Absorb moves every element of src into m, IDs and metadata untouched,
+// and raises m's clock to src's if that is later. An ID both maps hold
+// is ErrIDTaken. src is consumed: m takes over its element structs
+// (nothing is copied), so src must not be used afterwards, on success
+// or failure.
+func (m *Map) Absorb(src *Map) error {
+	if src.Clock > m.Clock {
+		m.Clock = src.Clock
+	}
+	if src.nextID > m.nextID {
+		m.nextID = src.nextID
+	}
+	m.indexDirty = true
+	if err := absorb(m.points, src.points, "point"); err != nil {
+		return err
+	}
+	if err := absorb(m.lines, src.lines, "line"); err != nil {
+		return err
+	}
+	if err := absorb(m.areas, src.areas, "area"); err != nil {
+		return err
+	}
+	if err := absorb(m.lanelets, src.lanelets, "lanelet"); err != nil {
+		return err
+	}
+	if err := absorb(m.bundles, src.bundles, "bundle"); err != nil {
+		return err
+	}
+	return absorb(m.regs, src.regs, "regulatory")
+}
+
+func absorb[T any](dst, src map[ID]*T, kind string) error {
+	for id, e := range src {
+		if _, ok := dst[id]; ok {
+			return fmt.Errorf("restore %s %d: %w", kind, id, ErrIDTaken)
+		}
+		dst[id] = e
+	}
+	return nil
+}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"container/list"
 	"sort"
 	"sync"
 	"time"
@@ -13,14 +14,16 @@ import (
 type TileCache struct {
 	mu    sync.Mutex
 	max   int
-	seq   uint64
-	tiles map[TileKey]*cacheEntry
+	tiles map[TileKey]*list.Element // of *cacheEntry
+	// order holds the entries most recently used first, so the eviction
+	// victim is always its back.
+	order *list.List
 }
 
 type cacheEntry struct {
+	key      TileKey
 	data     []byte
 	storedAt time.Time
-	seq      uint64
 }
 
 // NewTileCache creates a cache holding at most max tiles (<=0 means
@@ -29,44 +32,41 @@ func NewTileCache(max int) *TileCache {
 	if max <= 0 {
 		max = 1024
 	}
-	return &TileCache{max: max, tiles: make(map[TileKey]*cacheEntry)}
+	return &TileCache{max: max, tiles: make(map[TileKey]*list.Element), order: list.New()}
 }
 
 // Put stores (a copy of) a tile payload as the last-known-good version
 // for its key, evicting the least recently used entry when full.
 func (c *TileCache) Put(key TileKey, data []byte) {
-	cp := make([]byte, len(data))
-	copy(cp, data)
+	e := &cacheEntry{key: key, data: append([]byte(nil), data...), storedAt: time.Now()}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.seq++
-	if _, ok := c.tiles[key]; !ok && len(c.tiles) >= c.max {
-		var victim TileKey
-		var oldest uint64 = ^uint64(0)
-		for k, e := range c.tiles {
-			if e.seq < oldest {
-				oldest, victim = e.seq, k
-			}
-		}
-		delete(c.tiles, victim)
+	if el, ok := c.tiles[key]; ok {
+		el.Value = e
+		c.order.MoveToFront(el)
+		return
 	}
-	c.tiles[key] = &cacheEntry{data: cp, storedAt: time.Now(), seq: c.seq}
+	if len(c.tiles) >= c.max {
+		victim := c.order.Back()
+		delete(c.tiles, victim.Value.(*cacheEntry).key)
+		c.order.Remove(victim)
+	}
+	c.tiles[key] = c.order.PushFront(e)
 }
 
-// Get returns a copy of the cached payload, when it was stored, and
-// whether it was present. A hit refreshes recency.
+// Get returns the cached payload, when it was stored, and whether it
+// was present. A hit refreshes recency. The slice is the cache's own
+// copy, shared with every other reader of the key: it is read-only.
 func (c *TileCache) Get(key TileKey) ([]byte, time.Time, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.tiles[key]
+	el, ok := c.tiles[key]
 	if !ok {
 		return nil, time.Time{}, false
 	}
-	c.seq++
-	e.seq = c.seq
-	cp := make([]byte, len(e.data))
-	copy(cp, e.data)
-	return cp, e.storedAt, true
+	c.order.MoveToFront(el)
+	e := el.Value.(*cacheEntry)
+	return e.data, e.storedAt, true
 }
 
 // Keys lists cached tiles of a layer in Morton order — the offline

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -181,7 +182,8 @@ type clientMetrics struct {
 	// hint instead of the exponential guess.
 	retryAfterWaits *obs.Counter
 	// integrityFailures counts payloads rejected after arrival:
-	// checksum mismatches and structurally invalid tile/JSON bodies.
+	// checksum mismatches, structurally invalid tile/JSON bodies, and
+	// bodies over maxBodyBytes.
 	integrityFailures *obs.Counter
 	// failovers counts endpoint rotations after transient failures.
 	failovers *obs.Counter
@@ -399,6 +401,34 @@ func classifyStatus(op string, resp *http.Response) error {
 	return err
 }
 
+// maxBodyBytes is the most the client reads of one response body: the
+// tile server's own default upload ceiling.
+const maxBodyBytes = 16 << 20
+
+// errBodyTooLarge rejects a response body over maxBodyBytes. It is not
+// transient: a server streaming without end will do so again.
+var errBodyTooLarge = errors.New("storage: response body too large")
+
+// readBody reads a response body up to maxBodyBytes, into a buffer
+// sized from Content-Length when the server sent a believable one. A
+// read failure is transient; an over-limit body is an integrity
+// failure and is not.
+func (c *Client) readBody(resp *http.Response) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n > 0 && n <= maxBodyBytes {
+		// MinRead of slack lets ReadFrom see EOF without growing.
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxBodyBytes+1)); err != nil {
+		return nil, transient(err)
+	}
+	if buf.Len() > maxBodyBytes {
+		c.metrics().integrityFailures.Inc()
+		return nil, errBodyTooLarge
+	}
+	return buf.Bytes(), nil
+}
+
 // getJSON fetches a server path and decodes its JSON body with
 // retries (and endpoint failover — the path is joined to the current
 // endpoint per attempt).
@@ -418,13 +448,13 @@ func (c *Client) getJSON(ctx context.Context, budget *int, op, path string, out 
 		if resp.StatusCode != http.StatusOK {
 			return classifyStatus(op, resp)
 		}
-		data, err := io.ReadAll(resp.Body)
+		data, err := c.readBody(resp)
 		if err != nil {
-			return transient(err)
+			return fmt.Errorf("storage client: %s: %w", op, err)
 		}
 		// Metadata is integrity-checked like tiles: a bit flip in the
 		// tile list could silently shrink the vehicle's map.
-		if want := resp.Header.Get(ChecksumHeader); want != "" && want != Checksum(data) {
+		if want := resp.Header.Get(ChecksumHeader); want != "" && !checksumMatches(want, data) {
 			c.metrics().integrityFailures.Inc()
 			return transient(fmt.Errorf("storage client: %s: %w", op, ErrChecksum))
 		}
@@ -461,10 +491,13 @@ func (c *Client) tilePath(key TileKey) string {
 // verification; ErrNoTile when absent. Successful fetches refresh the
 // client's Cache when one is configured.
 func (c *Client) GetTile(ctx context.Context, key TileKey) ([]byte, error) {
-	return c.getTile(ctx, nil, key)
+	data, _, err := c.getTile(ctx, nil, key)
+	return data, err
 }
 
-func (c *Client) getTile(ctx context.Context, budget *int, key TileKey) ([]byte, error) {
+// getTile returns the tile's bytes and the map its validation decoded
+// from them, so a caller that wants the map does not decode again.
+func (c *Client) getTile(ctx context.Context, budget *int, key TileKey) ([]byte, *core.Map, error) {
 	// Every tile fetch is one traced operation: the ID minted (or
 	// inherited) here rides the TraceHeader of every attempt, so client
 	// and server logs join on it.
@@ -475,6 +508,7 @@ func (c *Client) getTile(ctx context.Context, budget *int, key TileKey) ([]byte,
 	osp.SetAttrInt("ty", int64(key.TY))
 	start := time.Now()
 	var data []byte
+	var tile *core.Map
 	err := c.doRetry(ctx, budget, "get tile", func(ctx context.Context, base string) error {
 		req, err := c.newRequest(ctx, http.MethodGet, base+c.tilePath(key), nil)
 		if err != nil {
@@ -491,25 +525,26 @@ func (c *Client) getTile(ctx context.Context, budget *int, key TileKey) ([]byte,
 		if resp.StatusCode != http.StatusOK {
 			return classifyStatus("get tile", resp)
 		}
-		body, err := io.ReadAll(resp.Body)
+		body, err := c.readBody(resp)
 		if err != nil {
-			return transient(err)
+			return fmt.Errorf("%v: %w", key, err)
 		}
 		// Verify payload integrity against the server's checksum; a
 		// mismatch is wire corruption, so retry rather than hand a
 		// silently wrong map to the planner.
-		if want := resp.Header.Get(ChecksumHeader); want != "" && want != Checksum(body) {
+		if want := resp.Header.Get(ChecksumHeader); want != "" && !checksumMatches(want, body) {
 			c.metrics().integrityFailures.Inc()
 			return transient(fmt.Errorf("%v: %w", key, ErrChecksum))
 		}
 		// The checksum covers the wire, not the server's disk: a tile
 		// corrupted at rest checksums "correctly", so also require a
 		// structurally valid map before accepting the payload.
-		if _, derr := DecodeBinary(body); derr != nil {
+		m, derr := DecodeBinary(body)
+		if derr != nil {
 			c.metrics().integrityFailures.Inc()
 			return transient(fmt.Errorf("%v: invalid tile payload: %w", key, derr))
 		}
-		data = body
+		data, tile = body, m
 		return nil
 	})
 	if err != nil {
@@ -518,7 +553,7 @@ func (c *Client) getTile(ctx context.Context, budget *int, key TileKey) ([]byte,
 			slog.Duration("dur", time.Since(start)), slog.String("error", err.Error()))
 		osp.Fail(err.Error())
 		osp.End()
-		return nil, err
+		return nil, nil, err
 	}
 	c.logger().LogAttrs(ctx, slog.LevelInfo, "tile fetched",
 		slog.String("layer", key.Layer), slog.Int("tx", int(key.TX)), slog.Int("ty", int(key.TY)),
@@ -527,7 +562,7 @@ func (c *Client) getTile(ctx context.Context, budget *int, key TileKey) ([]byte,
 	if c.Cache != nil {
 		c.Cache.Put(key, data)
 	}
-	return data, nil
+	return data, tile, nil
 }
 
 // PutTile uploads one tile with retries; the payload checksum travels
@@ -646,9 +681,9 @@ func (c *Client) FetchRegion(ctx context.Context, layer string, tx0, ty0, tx1, t
 	}
 	health.Requested = len(keys)
 
-	store := NewMemStore()
+	tiles := make([]*core.Map, 0, len(keys))
 	for _, key := range keys {
-		data, err := c.getTile(ctx, &budget, key)
+		_, tile, err := c.getTile(ctx, &budget, key)
 		switch {
 		case err == nil:
 			health.Fresh++
@@ -661,19 +696,13 @@ func (c *Client) FetchRegion(ctx context.Context, layer string, tx0, ty0, tx1, t
 		default:
 			health.Degraded = true
 			health.addError(err)
-			if c.Cache != nil {
-				if cached, _, ok := c.Cache.Get(key); ok {
-					health.Stale++
-					data = cached
-					break
-				}
+			if tile = c.staleTile(key, health); tile == nil {
+				health.Missing = append(health.Missing, key)
+				continue
 			}
-			health.Missing = append(health.Missing, key)
-			continue
+			health.Stale++
 		}
-		if err := store.Put(key, data); err != nil {
-			return nil, nil, err
-		}
+		tiles = append(tiles, tile)
 	}
 	if health.Fresh+health.Stale == 0 {
 		if len(health.Errors) > 0 {
@@ -681,9 +710,29 @@ func (c *Client) FetchRegion(ctx context.Context, layer string, tx0, ty0, tx1, t
 		}
 		return nil, nil, fmt.Errorf("region empty: %w", ErrNoTile)
 	}
-	m, err := Tiler{}.LoadMap(store, layer, name)
+	m, err := stitch(name, tiles)
 	if err != nil {
 		return nil, nil, err
 	}
 	return m, health, nil
+}
+
+// staleTile decodes the cache's last-known-good copy of a tile the
+// server failed to provide; nil when there is none. A cached payload
+// that no longer decodes costs the region that one tile (and an entry
+// in health.Errors), not the rest.
+func (c *Client) staleTile(key TileKey, health *RegionHealth) *core.Map {
+	if c.Cache == nil {
+		return nil
+	}
+	cached, _, ok := c.Cache.Get(key)
+	if !ok {
+		return nil
+	}
+	tile, err := DecodeBinary(cached)
+	if err != nil {
+		health.addError(fmt.Errorf("%v: cached tile: %w", key, err))
+		return nil
+	}
+	return tile
 }

@@ -12,7 +12,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"hdmaps/internal/core"
@@ -199,151 +198,159 @@ func EncodeBinary(m *core.Map) []byte {
 	return w.buf.Bytes()
 }
 
-// reader parses the binary stream.
+// arenaChunk caps one vertex arena chunk (32 KiB of Vec2): big enough
+// that a tile's polylines share a handful of allocations, small enough
+// that one surviving polyline never pins much more than itself.
+const arenaChunk = 2048
+
+// reader is a cursor over an encoded payload. buf is the unread rest
+// of the input. The first failure is sticky: it is recorded in err and
+// buf is dropped, so every later read fails fast and returns zero —
+// callers decode a whole element and check err once.
 type reader struct {
-	buf *bytes.Reader
+	buf []byte
+	err error
+	// verts is the unused tail of the current vertex arena chunk.
+	verts []geo.Vec2
+	// strs interns the few short strings (attr keys, Meta.Source) that
+	// repeat on every element of a tile.
+	strs map[string]string
 }
 
-func (r *reader) uvarint() (uint64, error) {
-	v, err := binary.ReadUvarint(r.buf)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadFormat, err)
+func (r *reader) fail(format string, args ...interface{}) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: %s", ErrBadFormat, fmt.Sprintf(format, args...))
 	}
-	return v, nil
+	r.buf = nil
 }
 
-func (r *reader) varint() (int64, error) {
-	v, err := binary.ReadVarint(r.buf)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadFormat, err)
+func (r *reader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.buf)
+	if n <= 0 {
+		r.fail("truncated or overlong varint")
+		return 0
 	}
-	return v, nil
+	r.buf = r.buf[n:]
+	return v
 }
 
-func (r *reader) str() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
+func (r *reader) varint() int64 {
+	v, n := binary.Varint(r.buf)
+	if n <= 0 {
+		r.fail("truncated or overlong varint")
+		return 0
 	}
+	r.buf = r.buf[n:]
+	return v
+}
+
+// count reads an element count and rejects one the rest of the input
+// cannot hold at minBytes per element, so a forged count never sizes an
+// allocation.
+func (r *reader) count(what string, minBytes int) int {
+	n := r.uvarint()
+	if n > uint64(len(r.buf)/minBytes) {
+		r.fail("%s count %d exceeds remaining input", what, n)
+		return 0
+	}
+	return int(n)
+}
+
+// bytes returns a length-prefixed field as a slice of the input.
+func (r *reader) bytes() []byte {
+	n := r.count("string byte", 1)
+	b := r.buf[:n]
+	r.buf = r.buf[n:]
+	return b
+}
+
+func (r *reader) str() string { return string(r.bytes()) }
+
+// interned is str for values that repeat across a tile's elements: one
+// string per distinct value per decode.
+func (r *reader) interned() string {
+	b := r.bytes()
+	if len(b) == 0 {
+		return ""
+	}
+	if s, ok := r.strs[string(b)]; ok {
+		return s
+	}
+	if r.strs == nil {
+		r.strs = make(map[string]string)
+	}
+	s := string(b)
+	r.strs[s] = s
+	return s
+}
+
+func (r *reader) float() float64 {
+	if len(r.buf) < 8 {
+		r.fail("unexpected end of input")
+		return 0
+	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf))
+	r.buf = r.buf[8:]
+	return v
+}
+
+// polyline carves the vertices out of the decode's arena. The slice is
+// capacity-capped, so appending to one polyline reallocates it instead
+// of writing into its neighbour.
+func (r *reader) polyline() geo.Polyline {
+	// Each vertex is two varints of >= 1 byte each.
+	n := r.count("polyline vertex", 2)
 	if n == 0 {
-		return "", nil
+		return geo.Polyline{}
 	}
-	if n > uint64(r.buf.Len()) {
-		return "", fmt.Errorf("%w: string length %d exceeds remaining input", ErrBadFormat, n)
+	if n > len(r.verts) {
+		// A new chunk: room for what the rest of the input can still
+		// hold (already >= n), up to arenaChunk.
+		r.verts = make([]geo.Vec2, max(n, min(arenaChunk, len(r.buf)/2)))
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r.buf, b); err != nil {
-		return "", fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
-	return string(b), nil
-}
-
-func (r *reader) float() (float64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r.buf, b[:]); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrBadFormat, err)
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[:])), nil
-}
-
-func (r *reader) polyline() (geo.Polyline, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	// Each vertex is two varints of >= 1 byte each, so n vertices need
-	// at least 2n remaining bytes; checking before make() stops a forged
-	// count from over-allocating.
-	if n > uint64(r.buf.Len())/2 {
-		return nil, fmt.Errorf("%w: polyline of %d vertices exceeds input", ErrBadFormat, n)
-	}
-	out := make(geo.Polyline, n)
+	out := r.verts[:n:n]
+	r.verts = r.verts[n:]
 	var px, py int64
 	for i := range out {
-		dx, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
-		dy, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
-		px += dx
-		py += dy
+		px += r.varint()
+		py += r.varint()
 		out[i] = geo.V2(float64(px)*coordUnit, float64(py)*coordUnit)
 	}
-	return out, nil
+	return out
 }
 
-func (r *reader) attrs() (map[string]string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
+func (r *reader) attrs() map[string]string {
 	// Each attr is two strings with >= 1 length byte apiece.
-	if n > uint64(r.buf.Len())/2 {
-		return nil, fmt.Errorf("%w: attr count %d exceeds input", ErrBadFormat, n)
+	n := r.count("attr", 2)
+	if n == 0 {
+		return nil
 	}
 	out := make(map[string]string, n)
-	for i := uint64(0); i < n; i++ {
-		k, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		v, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		out[k] = v
+	for i := 0; i < n; i++ {
+		k := r.interned()
+		out[k] = r.str()
 	}
-	return out, nil
+	return out
 }
 
-func (r *reader) meta() (core.Meta, error) {
+func (r *reader) meta() core.Meta {
 	var m core.Meta
-	v, err := r.uvarint()
-	if err != nil {
-		return m, err
-	}
-	m.Version = int(v)
-	if m.Stamp, err = r.uvarint(); err != nil {
-		return m, err
-	}
-	if m.Confidence, err = r.float(); err != nil {
-		return m, err
-	}
-	obs, err := r.uvarint()
-	if err != nil {
-		return m, err
-	}
-	m.Observy = int(obs)
-	if m.Source, err = r.str(); err != nil {
-		return m, err
-	}
-	return m, nil
+	m.Version = int(r.uvarint())
+	m.Stamp = r.uvarint()
+	m.Confidence = r.float()
+	m.Observy = int(r.uvarint())
+	m.Source = r.interned()
+	return m
 }
 
-func (r *reader) ids() ([]core.ID, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
+func (r *reader) ids() []core.ID {
+	n := r.count("id", 1)
 	if n == 0 {
-		return nil, nil
-	}
-	if n > uint64(r.buf.Len()) {
-		return nil, fmt.Errorf("%w: id count %d exceeds input", ErrBadFormat, n)
+		return nil
 	}
 	out := make([]core.ID, n)
 	for i := range out {
-		v, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = core.ID(v)
+		out[i] = core.ID(r.uvarint())
 	}
-	return out, nil
+	return out
 }

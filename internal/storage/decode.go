@@ -1,271 +1,157 @@
 package storage
 
 import (
-	"bytes"
 	"fmt"
 
 	"hdmaps/internal/core"
 	"hdmaps/internal/geo"
 )
 
+// header reads magic, version, name and clock — the prefix DecodeBinary
+// and PeekClock share.
+func (r *reader) header() (name string, clock uint64, err error) {
+	magic := r.uvarint()
+	if r.err == nil && magic != binaryMagic {
+		return "", 0, fmt.Errorf("magic %x: %w", magic, ErrBadFormat)
+	}
+	version := r.uvarint()
+	if r.err == nil && version != binaryVersion {
+		return "", 0, fmt.Errorf("version %d: %w", version, ErrVersion)
+	}
+	name = r.str()
+	clock = r.uvarint()
+	return name, clock, r.err
+}
+
+// section reads a section's element count and returns it with the size
+// to reserve for it: the count, bounded by what the rest of the input
+// could hold (no element encodes in under 16 bytes), so a forged count
+// reserves nothing the input does not pay for.
+func (r *reader) section() (n uint64, reserve int) {
+	n = r.uvarint()
+	if most := uint64(len(r.buf) / 16); n > most {
+		return n, int(most)
+	}
+	return n, int(n)
+}
+
+// restored records the result of restoring a completely read element.
+func (r *reader) restored(err error) {
+	if err != nil {
+		r.fail("%v", err)
+	}
+}
+
 // DecodeBinary parses a map from the compact vector format. It returns
 // ErrBadFormat (wrapped) for structurally invalid input and ErrVersion
-// for unknown versions.
+// for unknown versions. The polylines of the returned map share vertex
+// arena chunks; each is capacity-capped, so they never overlap.
 func DecodeBinary(data []byte) (*core.Map, error) {
-	r := &reader{buf: bytes.NewReader(data)}
-	magic, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if magic != binaryMagic {
-		return nil, fmt.Errorf("magic %x: %w", magic, ErrBadFormat)
-	}
-	version, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if version != binaryVersion {
-		return nil, fmt.Errorf("version %d: %w", version, ErrVersion)
-	}
-	name, err := r.str()
-	if err != nil {
-		return nil, err
-	}
-	clock, err := r.uvarint()
+	r := &reader{buf: data}
+	name, clock, err := r.header()
 	if err != nil {
 		return nil, err
 	}
 	m := core.NewMap(name)
 	m.SetClock(clock)
 
-	nPoints, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nPoints; i++ {
+	// Every loop stops at the reader's first failure, so a forged count
+	// costs one failed element, and an element is restored only when all
+	// of it was read.
+	n, reserve := r.section()
+	m.Reserve(reserve, 0, 0, 0, 0, 0)
+	for ; n > 0 && r.err == nil; n-- {
 		var p core.PointElement
-		id, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		p.ID = core.ID(id)
-		class, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		p.Class = core.Class(class)
-		x, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
-		y, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
-		z, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
+		p.ID = core.ID(r.uvarint())
+		p.Class = core.Class(r.uvarint())
+		x, y, z := r.varint(), r.varint(), r.varint()
 		p.Pos = geo.V3(float64(x)*coordUnit, float64(y)*coordUnit, float64(z)*coordUnit)
-		if p.Heading, err = r.float(); err != nil {
-			return nil, err
-		}
-		if p.Attr, err = r.attrs(); err != nil {
-			return nil, err
-		}
-		if p.Meta, err = r.meta(); err != nil {
-			return nil, err
-		}
-		if err := m.RestorePoint(p); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
+		p.Heading = r.float()
+		p.Attr = r.attrs()
+		p.Meta = r.meta()
+		if r.err == nil {
+			r.restored(m.RestorePoint(p))
 		}
 	}
 
-	nLines, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nLines; i++ {
+	n, reserve = r.section()
+	m.Reserve(0, reserve, 0, 0, 0, 0)
+	for ; n > 0 && r.err == nil; n-- {
 		var l core.LineElement
-		id, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		l.ID = core.ID(id)
-		class, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		l.Class = core.Class(class)
-		btype, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		l.Boundary = core.BoundaryType(btype)
-		if l.Geometry, err = r.polyline(); err != nil {
-			return nil, err
-		}
-		if l.Attr, err = r.attrs(); err != nil {
-			return nil, err
-		}
-		if l.Meta, err = r.meta(); err != nil {
-			return nil, err
-		}
-		if err := m.RestoreLine(l); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
+		l.ID = core.ID(r.uvarint())
+		l.Class = core.Class(r.uvarint())
+		l.Boundary = core.BoundaryType(r.uvarint())
+		l.Geometry = r.polyline()
+		l.Attr = r.attrs()
+		l.Meta = r.meta()
+		if r.err == nil {
+			r.restored(m.RestoreLine(l))
 		}
 	}
 
-	nAreas, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nAreas; i++ {
+	n, reserve = r.section()
+	m.Reserve(0, 0, reserve, 0, 0, 0)
+	for ; n > 0 && r.err == nil; n-- {
 		var a core.AreaElement
-		id, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		a.ID = core.ID(id)
-		class, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		a.Class = core.Class(class)
-		pl, err := r.polyline()
-		if err != nil {
-			return nil, err
-		}
-		a.Outline = geo.Polygon(pl)
-		if a.Attr, err = r.attrs(); err != nil {
-			return nil, err
-		}
-		if a.Meta, err = r.meta(); err != nil {
-			return nil, err
-		}
-		if err := m.RestoreArea(a); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
+		a.ID = core.ID(r.uvarint())
+		a.Class = core.Class(r.uvarint())
+		a.Outline = geo.Polygon(r.polyline())
+		a.Attr = r.attrs()
+		a.Meta = r.meta()
+		if r.err == nil {
+			r.restored(m.RestoreArea(a))
 		}
 	}
 
-	nLL, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nLL; i++ {
+	n, reserve = r.section()
+	m.Reserve(0, 0, 0, reserve, 0, 0)
+	for ; n > 0 && r.err == nil; n-- {
 		var l core.Lanelet
-		id, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		l.ID = core.ID(id)
-		left, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		right, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		l.Left, l.Right = core.ID(left), core.ID(right)
-		if l.Centerline, err = r.polyline(); err != nil {
-			return nil, err
-		}
-		lt, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		l.Type = core.LaneType(lt)
-		if l.SpeedLimit, err = r.float(); err != nil {
-			return nil, err
-		}
-		if l.Successors, err = r.ids(); err != nil {
-			return nil, err
-		}
-		ln, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		rn, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		l.LeftNeighbor, l.RightNeighbor = core.ID(ln), core.ID(rn)
-		if l.Regulatory, err = r.ids(); err != nil {
-			return nil, err
-		}
-		if l.Meta, err = r.meta(); err != nil {
-			return nil, err
-		}
-		if err := m.RestoreLanelet(l); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
+		l.ID = core.ID(r.uvarint())
+		l.Left, l.Right = core.ID(r.uvarint()), core.ID(r.uvarint())
+		l.Centerline = r.polyline()
+		l.Type = core.LaneType(r.uvarint())
+		l.SpeedLimit = r.float()
+		l.Successors = r.ids()
+		l.LeftNeighbor, l.RightNeighbor = core.ID(r.uvarint()), core.ID(r.uvarint())
+		l.Regulatory = r.ids()
+		l.Meta = r.meta()
+		if r.err == nil {
+			r.restored(m.RestoreLanelet(l))
 		}
 	}
 
-	nB, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nB; i++ {
+	n, reserve = r.section()
+	m.Reserve(0, 0, 0, 0, reserve, 0)
+	for ; n > 0 && r.err == nil; n-- {
 		var b core.LaneBundle
-		id, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		b.ID = core.ID(id)
-		if b.RoadID, err = r.varint(); err != nil {
-			return nil, err
-		}
-		if b.Lanelets, err = r.ids(); err != nil {
-			return nil, err
-		}
-		if b.RefLine, err = r.polyline(); err != nil {
-			return nil, err
-		}
-		if b.Meta, err = r.meta(); err != nil {
-			return nil, err
-		}
-		if err := m.RestoreBundle(b); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
+		b.ID = core.ID(r.uvarint())
+		b.RoadID = r.varint()
+		b.Lanelets = r.ids()
+		b.RefLine = r.polyline()
+		b.Meta = r.meta()
+		if r.err == nil {
+			r.restored(m.RestoreBundle(b))
 		}
 	}
 
-	nR, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint64(0); i < nR; i++ {
+	n, reserve = r.section()
+	m.Reserve(0, 0, 0, 0, 0, reserve)
+	for ; n > 0 && r.err == nil; n-- {
 		var reg core.RegulatoryElement
-		id, err := r.uvarint()
-		if err != nil {
-			return nil, err
+		reg.ID = core.ID(r.uvarint())
+		reg.Kind = core.RegulatoryKind(r.uvarint())
+		reg.Devices = r.ids()
+		reg.StopLine = core.ID(r.uvarint())
+		reg.Lanelets = r.ids()
+		reg.Value = r.float()
+		reg.Meta = r.meta()
+		if r.err == nil {
+			r.restored(m.RestoreRegulatory(reg))
 		}
-		reg.ID = core.ID(id)
-		kind, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		reg.Kind = core.RegulatoryKind(kind)
-		if reg.Devices, err = r.ids(); err != nil {
-			return nil, err
-		}
-		sl, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		reg.StopLine = core.ID(sl)
-		if reg.Lanelets, err = r.ids(); err != nil {
-			return nil, err
-		}
-		if reg.Value, err = r.float(); err != nil {
-			return nil, err
-		}
-		if reg.Meta, err = r.meta(); err != nil {
-			return nil, err
-		}
-		if err := m.RestoreRegulatory(reg); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
-		}
+	}
+	if r.err != nil {
+		return nil, r.err
 	}
 	return m, nil
 }

@@ -1,33 +1,12 @@
 package storage
 
-import (
-	"bytes"
-	"fmt"
-)
-
 // PeekClock reads the logical clock out of an encoded tile without
 // decoding the elements — the binary header is magic, version, name,
 // clock, so the read touches a handful of bytes. The cluster router
 // compares replica freshness on every quorum read, where a full
 // DecodeBinary per replica would dominate the read path.
 func PeekClock(data []byte) (uint64, error) {
-	r := &reader{buf: bytes.NewReader(data)}
-	magic, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if magic != binaryMagic {
-		return 0, fmt.Errorf("magic %x: %w", magic, ErrBadFormat)
-	}
-	version, err := r.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if version != binaryVersion {
-		return 0, fmt.Errorf("version %d: %w", version, ErrVersion)
-	}
-	if _, err := r.str(); err != nil {
-		return 0, err
-	}
-	return r.uvarint()
+	r := &reader{buf: data}
+	_, clock, err := r.header()
+	return clock, err
 }

@@ -35,6 +35,14 @@ func Checksum(data []byte) string {
 	return fmt.Sprintf("%08x", crc32.Checksum(data, castagnoli))
 }
 
+// checksumMatches reports whether data has the checksum a
+// ChecksumHeader value names; a malformed value matches nothing. The
+// comparison is numeric, so verifying formats no string.
+func checksumMatches(header string, data []byte) bool {
+	want, err := strconv.ParseUint(header, 16, 32)
+	return err == nil && uint32(want) == crc32.Checksum(data, castagnoli)
+}
+
 // TileServer exposes a TileStore over HTTP — the central map-distribution
 // node of the ecosystem (vehicles pull tiles for their region; update
 // pipelines push patched tiles; decoupled layers update independently).
@@ -286,7 +294,7 @@ func (s *TileServer) handlePut(w http.ResponseWriter, r *http.Request, key TileK
 	// A checksum mismatch means the payload was damaged in transit — the
 	// uploader should retry, so refuse before the decode check and mark
 	// the failure retryable for well-behaved clients.
-	if want := r.Header.Get(ChecksumHeader); want != "" && want != Checksum(data) {
+	if want := r.Header.Get(ChecksumHeader); want != "" && !checksumMatches(want, data) {
 		w.Header().Set(TransientHeader, "checksum-mismatch")
 		writeJSONError(w, http.StatusBadRequest,
 			fmt.Sprintf("checksum mismatch: got %s want %s", Checksum(data), want))
@@ -313,15 +321,12 @@ func (s *TileServer) handlePut(w http.ResponseWriter, r *http.Request, key TileK
 	}
 	// Tiles must decode as maps: the server refuses corrupt uploads so a
 	// bad producer cannot poison consumers.
-	if _, err := DecodeBinary(data); err != nil {
-		writeJSONError(w, http.StatusUnprocessableEntity, fmt.Sprintf("invalid tile: %v", err))
-		return
-	}
-	clock, err := PeekClock(data)
+	tile, err := DecodeBinary(data)
 	if err != nil {
 		writeJSONError(w, http.StatusUnprocessableEntity, fmt.Sprintf("invalid tile: %v", err))
 		return
 	}
+	clock := tile.Clock
 	s.mu.Lock()
 	cur, curData := s.stateLocked(key)
 	if !s.checkExpectLocked(w, r, cur) {

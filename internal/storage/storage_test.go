@@ -14,8 +14,14 @@ import (
 
 func testWorld(t testing.TB, seed int64) *core.Map {
 	t.Helper()
+	return testWorldSized(t, seed, 2)
+}
+
+// testWorldSized is a rows x (rows+1) urban grid.
+func testWorldSized(t testing.TB, seed int64, rows int) *core.Map {
+	t.Helper()
 	g, err := worldgen.GenerateGrid(worldgen.GridParams{
-		Rows: 2, Cols: 3, Block: 150, Lanes: 2, TrafficLights: true,
+		Rows: rows, Cols: rows + 1, Block: 150, Lanes: 2, TrafficLights: true,
 	}, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)

@@ -375,54 +375,26 @@ func (t Tiler) LoadMap(store TileStore, layer, name string) (*core.Map, error) {
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("layer %q: %w", layer, ErrNoTile)
 	}
-	out := core.NewMap(name)
-	for _, key := range keys {
+	tiles := make([]*core.Map, len(keys))
+	for i, key := range keys {
 		data, err := store.Get(key)
 		if err != nil {
 			return nil, err
 		}
-		tm, err := DecodeBinary(data)
-		if err != nil {
+		if tiles[i], err = DecodeBinary(data); err != nil {
 			return nil, fmt.Errorf("storage: tile %v: %w", key, err)
 		}
-		if tm.Clock > out.Clock {
-			out.SetClock(tm.Clock)
-		}
-		for _, id := range tm.PointIDs() {
-			p, _ := tm.Point(id)
-			if err := out.RestorePoint(*p); err != nil {
-				return nil, err
-			}
-		}
-		for _, id := range tm.LineIDs() {
-			l, _ := tm.Line(id)
-			if err := out.RestoreLine(*l); err != nil {
-				return nil, err
-			}
-		}
-		for _, id := range tm.AreaIDs() {
-			a, _ := tm.Area(id)
-			if err := out.RestoreArea(*a); err != nil {
-				return nil, err
-			}
-		}
-		for _, id := range tm.LaneletIDs() {
-			l, _ := tm.Lanelet(id)
-			if err := out.RestoreLanelet(*l); err != nil {
-				return nil, err
-			}
-		}
-		for _, id := range tm.BundleIDs() {
-			b, _ := tm.Bundle(id)
-			if err := out.RestoreBundle(*b); err != nil {
-				return nil, err
-			}
-		}
-		for _, id := range tm.RegulatoryIDs() {
-			r, _ := tm.Regulatory(id)
-			if err := out.RestoreRegulatory(*r); err != nil {
-				return nil, err
-			}
+	}
+	return stitch(name, tiles)
+}
+
+// stitch merges decoded tile maps into one map, in the order given.
+// The tile maps are consumed: the result owns their elements.
+func stitch(name string, tiles []*core.Map) (*core.Map, error) {
+	out := core.NewMap(name)
+	for _, tm := range tiles {
+		if err := out.Absorb(tm); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil

@@ -75,57 +75,38 @@ func EncodeTombstone(t Tombstone) []byte {
 // ErrBadFormat, and unsupported versions return ErrVersion.
 func DecodeTombstone(data []byte) (Tombstone, error) {
 	var t Tombstone
-	r := &reader{buf: bytes.NewReader(data)}
-	magic, err := r.uvarint()
-	if err != nil {
+	r := &reader{buf: data}
+	magic := r.uvarint()
+	if r.err != nil {
 		return t, ErrNotTombstone
 	}
 	if magic != tombstoneMagic {
 		return t, fmt.Errorf("magic %x: %w", magic, ErrNotTombstone)
 	}
-	version, err := r.uvarint()
-	if err != nil {
-		return t, err
-	}
-	if version != tombstoneVersion {
+	version := r.uvarint()
+	if r.err == nil && version != tombstoneVersion {
 		return t, fmt.Errorf("version %d: %w", version, ErrVersion)
 	}
-	if t.Layer, err = r.str(); err != nil {
-		return t, err
-	}
-	tx, err := r.varint()
-	if err != nil {
-		return t, err
-	}
-	ty, err := r.varint()
-	if err != nil {
-		return t, err
-	}
+	t.Layer = r.str()
+	tx, ty := r.varint(), r.varint()
 	if tx < -1<<31 || tx > 1<<31-1 || ty < -1<<31 || ty > 1<<31-1 {
 		return t, fmt.Errorf("%w: tile coordinate out of range", ErrBadFormat)
 	}
 	t.TX, t.TY = int32(tx), int32(ty)
-	if t.Clock, err = r.uvarint(); err != nil {
-		return t, err
-	}
-	if t.Created, err = r.uvarint(); err != nil {
-		return t, err
-	}
-	if t.TTLSeconds, err = r.uvarint(); err != nil {
-		return t, err
-	}
-	// The CRC covers every byte before it; its offset is recovered from
-	// the reader's remaining length.
-	crcAt := len(data) - r.buf.Len()
-	want, err := r.uvarint()
-	if err != nil {
-		return t, err
+	t.Clock = r.uvarint()
+	t.Created = r.uvarint()
+	t.TTLSeconds = r.uvarint()
+	// The CRC covers every byte before it.
+	crcAt := len(data) - len(r.buf)
+	want := r.uvarint()
+	if r.err != nil {
+		return t, r.err
 	}
 	if got := uint64(crc32.Checksum(data[:crcAt], castagnoli)); got != want {
 		return t, fmt.Errorf("%w: tombstone crc mismatch", ErrBadFormat)
 	}
-	if r.buf.Len() != 0 {
-		return t, fmt.Errorf("%w: %d trailing bytes after tombstone", ErrBadFormat, r.buf.Len())
+	if len(r.buf) != 0 {
+		return t, fmt.Errorf("%w: %d trailing bytes after tombstone", ErrBadFormat, len(r.buf))
 	}
 	// Canonical-form check: varints admit padded encodings, and a
 	// padded marker would break the byte-identical-replicas invariant
@@ -139,7 +120,6 @@ func DecodeTombstone(data []byte) (Tombstone, error) {
 // IsTombstone reports whether a payload carries the tombstone magic —
 // a cheap sniff for dispatch; full validation is DecodeTombstone's job.
 func IsTombstone(data []byte) bool {
-	r := &reader{buf: bytes.NewReader(data)}
-	magic, err := r.uvarint()
-	return err == nil && magic == tombstoneMagic
+	r := &reader{buf: data}
+	return r.uvarint() == tombstoneMagic
 }
