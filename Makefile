@@ -106,6 +106,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzTrainBoost -fuzztime=$(FUZZTIME) ./internal/update/crowdupdate
 	$(GO) test -run='^$$' -fuzz=FuzzSanitizeTraceID -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz=FuzzVerifyMap -fuzztime=$(FUZZTIME) ./internal/mapverify
+	$(GO) test -run='^$$' -fuzz=FuzzVerifyDelta -fuzztime=$(FUZZTIME) ./internal/mapverify
 
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBinary$$' -fuzztime=5m ./internal/storage

@@ -229,11 +229,14 @@ func cmdRollback(args []string) error {
 		if err != nil {
 			return err
 		}
-		saved, deleted, err := (storage.Tiler{}).SyncMap(ts, vs.Frozen(), *layer)
+		// A one-shot republish remembers no earlier publish, so it
+		// rewrites every tile.
+		st, err := (storage.Tiler{}).SyncMap(ts, vs.Frozen(), *layer, nil)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("republished %d tiles (%d stale dropped) to %s\n", saved, deleted, *tilesDir)
+		fmt.Printf("republished to %s: %d tiles saved, %d unchanged, %d stale dropped\n",
+			*tilesDir, st.Saved, st.Unchanged, st.Deleted)
 	}
 	return nil
 }

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"hdmaps/internal/geo"
 	"hdmaps/internal/spatial"
@@ -27,6 +27,14 @@ type Map struct {
 	regs     map[ID]*RegulatoryElement
 
 	nextID ID
+
+	// Each table's IDs in ascending order, nil when not known: every
+	// change to a table forgets its order, FreezeIndexes works it out
+	// again, and the *IDs accessors only read it — so they sort nothing
+	// on a frozen map or a clone of one, and a frozen map stays safe to
+	// share. A slice is never written once set, so Clone shares it.
+	pointOrder, lineOrder, areaOrder    []ID
+	laneletOrder, bundleOrder, regOrder []ID
 
 	pointIdx   *spatial.RTree
 	lineIdx    *spatial.RTree
@@ -69,6 +77,7 @@ func (m *Map) AddPoint(p PointElement) ID {
 	p.Meta.touch(m.Tick())
 	cp := p
 	m.points[cp.ID] = &cp
+	m.pointOrder = nil
 	m.indexDirty = true
 	return cp.ID
 }
@@ -80,6 +89,7 @@ func (m *Map) AddLine(l LineElement) ID {
 	l.invalidate()
 	cl := l
 	m.lines[cl.ID] = &cl
+	m.lineOrder = nil
 	m.indexDirty = true
 	return cl.ID
 }
@@ -90,6 +100,7 @@ func (m *Map) AddArea(a AreaElement) ID {
 	a.Meta.touch(m.Tick())
 	ca := a
 	m.areas[ca.ID] = &ca
+	m.areaOrder = nil
 	m.indexDirty = true
 	return ca.ID
 }
@@ -101,6 +112,7 @@ func (m *Map) AddLanelet(l Lanelet) ID {
 	l.invalidate()
 	cl := l
 	m.lanelets[cl.ID] = &cl
+	m.laneletOrder = nil
 	m.indexDirty = true
 	return cl.ID
 }
@@ -111,6 +123,7 @@ func (m *Map) AddBundle(b LaneBundle) ID {
 	b.Meta.touch(m.Tick())
 	cb := b
 	m.bundles[cb.ID] = &cb
+	m.bundleOrder = nil
 	m.indexDirty = true
 	return cb.ID
 }
@@ -121,6 +134,7 @@ func (m *Map) AddRegulatory(r RegulatoryElement) ID {
 	r.Meta.touch(m.Tick())
 	cr := r
 	m.regs[cr.ID] = &cr
+	m.regOrder = nil
 	return cr.ID
 }
 
@@ -182,6 +196,7 @@ func (m *Map) RemovePoint(id ID) error {
 		return fmt.Errorf("remove point %d: %w", id, ErrNotFound)
 	}
 	delete(m.points, id)
+	m.pointOrder = nil
 	m.indexDirty = true
 	return nil
 }
@@ -192,6 +207,7 @@ func (m *Map) RemoveLine(id ID) error {
 		return fmt.Errorf("remove line %d: %w", id, ErrNotFound)
 	}
 	delete(m.lines, id)
+	m.lineOrder = nil
 	m.indexDirty = true
 	return nil
 }
@@ -202,45 +218,90 @@ func (m *Map) RemoveLanelet(id ID) error {
 		return fmt.Errorf("remove lanelet %d: %w", id, ErrNotFound)
 	}
 	delete(m.lanelets, id)
+	m.laneletOrder = nil
 	m.indexDirty = true
+	return nil
+}
+
+// --- In-place change -------------------------------------------------------
+
+// UpdatePoint applies change to the point element and stamps it with
+// the next logical time, so that its version, the map clock and every
+// clock derived from element stamps (a tile's, a committed version's)
+// move whenever its content does. The spatial index keeps the
+// element's old position until the next FreezeIndexes, as it does for
+// any write through a *PointElement.
+func (m *Map) UpdatePoint(id ID, change func(*PointElement)) error {
+	p, ok := m.points[id]
+	if !ok {
+		return fmt.Errorf("update point %d: %w", id, ErrNotFound)
+	}
+	change(p)
+	p.Meta.touch(m.Tick())
 	return nil
 }
 
 // --- Iteration (deterministic order) --------------------------------------
 
 // PointIDs returns all point IDs in ascending order.
-func (m *Map) PointIDs() []ID { return sortedIDs(m.points) }
+func (m *Map) PointIDs() []ID { return orderedIDs(m.points, m.pointOrder) }
 
 // LineIDs returns all line IDs in ascending order.
-func (m *Map) LineIDs() []ID { return sortedIDs(m.lines) }
+func (m *Map) LineIDs() []ID { return orderedIDs(m.lines, m.lineOrder) }
 
 // AreaIDs returns all area IDs in ascending order.
-func (m *Map) AreaIDs() []ID { return sortedIDs(m.areas) }
+func (m *Map) AreaIDs() []ID { return orderedIDs(m.areas, m.areaOrder) }
 
 // LaneletIDs returns all lanelet IDs in ascending order.
-func (m *Map) LaneletIDs() []ID { return sortedIDs(m.lanelets) }
+func (m *Map) LaneletIDs() []ID { return orderedIDs(m.lanelets, m.laneletOrder) }
 
 // BundleIDs returns all bundle IDs in ascending order.
-func (m *Map) BundleIDs() []ID { return sortedIDs(m.bundles) }
+func (m *Map) BundleIDs() []ID { return orderedIDs(m.bundles, m.bundleOrder) }
 
 // RegulatoryIDs returns all regulatory IDs in ascending order.
-func (m *Map) RegulatoryIDs() []ID { return sortedIDs(m.regs) }
+func (m *Map) RegulatoryIDs() []ID { return orderedIDs(m.regs, m.regOrder) }
 
-func sortedIDs[T any](mm map[ID]T) []ID {
-	out := make([]ID, 0, len(mm))
-	for id := range mm {
+// orderedIDs returns the table's IDs in ascending order, in a slice
+// the caller owns: a copy of the remembered order when there is one.
+func orderedIDs[T any](table map[ID]*T, order []ID) []ID {
+	if order == nil {
+		return sortedIDs(table)
+	}
+	out := make([]ID, len(order))
+	copy(out, order)
+	return out
+}
+
+func learnOrder[T any](order *[]ID, table map[ID]*T) {
+	if *order == nil {
+		*order = sortedIDs(table)
+	}
+}
+
+// sortedIDs never returns nil, which is how a remembered order of an
+// empty table differs from an unknown one.
+func sortedIDs[T any](table map[ID]*T) []ID {
+	out := make([]ID, 0, len(table))
+	for id := range table {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // --- Spatial queries -------------------------------------------------------
 
-// FreezeIndexes (re)builds the spatial indexes. Queries call it lazily,
-// but pipelines that finish a batch of mutations should call it once
+// FreezeIndexes (re)builds the spatial indexes and works out the ID
+// orders the map's mutations forgot. Queries call it lazily, but
+// pipelines that finish a batch of mutations should call it once
 // before handing the map to readers.
 func (m *Map) FreezeIndexes() {
+	learnOrder(&m.pointOrder, m.points)
+	learnOrder(&m.lineOrder, m.lines)
+	learnOrder(&m.areaOrder, m.areas)
+	learnOrder(&m.laneletOrder, m.lanelets)
+	learnOrder(&m.bundleOrder, m.bundles)
+	learnOrder(&m.regOrder, m.regs)
 	pts := make([]spatial.Item, 0, len(m.points))
 	for _, p := range m.points {
 		pts = append(pts, p)
@@ -383,62 +444,6 @@ func (m *Map) Bounds() geo.AABB {
 		box = box.Union(a.Bounds())
 	}
 	return box
-}
-
-// Clone returns a deep copy of the map (indexes are rebuilt lazily).
-func (m *Map) Clone() *Map {
-	c := NewMap(m.Name)
-	c.Clock = m.Clock
-	c.nextID = m.nextID
-	for id, p := range m.points {
-		cp := *p
-		cp.Attr = cloneAttr(p.Attr)
-		c.points[id] = &cp
-	}
-	for id, l := range m.lines {
-		cl := *l
-		cl.Geometry = l.Geometry.Clone()
-		cl.Attr = cloneAttr(l.Attr)
-		c.lines[id] = &cl
-	}
-	for id, a := range m.areas {
-		ca := *a
-		ca.Outline = append(geo.Polygon(nil), a.Outline...)
-		ca.Attr = cloneAttr(a.Attr)
-		c.areas[id] = &ca
-	}
-	for id, l := range m.lanelets {
-		cl := *l
-		cl.Centerline = l.Centerline.Clone()
-		cl.Successors = append([]ID(nil), l.Successors...)
-		cl.Regulatory = append([]ID(nil), l.Regulatory...)
-		c.lanelets[id] = &cl
-	}
-	for id, b := range m.bundles {
-		cb := *b
-		cb.Lanelets = append([]ID(nil), b.Lanelets...)
-		cb.RefLine = b.RefLine.Clone()
-		c.bundles[id] = &cb
-	}
-	for id, r := range m.regs {
-		cr := *r
-		cr.Devices = append([]ID(nil), r.Devices...)
-		cr.Lanelets = append([]ID(nil), r.Lanelets...)
-		c.regs[id] = &cr
-	}
-	c.indexDirty = true
-	return c
-}
-
-func cloneAttr(a map[string]string) map[string]string {
-	if a == nil {
-		return nil
-	}
-	out := make(map[string]string, len(a))
-	for k, v := range a {
-		out[k] = v
-	}
-	return out
 }
 
 // NumElements returns the total physical + relational element count.

@@ -34,6 +34,7 @@ func (m *Map) RestorePoint(p PointElement) error {
 	}
 	cp := p
 	m.points[cp.ID] = &cp
+	m.pointOrder = nil
 	m.indexDirty = true
 	return nil
 }
@@ -49,6 +50,7 @@ func (m *Map) RestoreLine(l LineElement) error {
 	l.invalidate()
 	cl := l
 	m.lines[cl.ID] = &cl
+	m.lineOrder = nil
 	m.indexDirty = true
 	return nil
 }
@@ -63,6 +65,7 @@ func (m *Map) RestoreArea(a AreaElement) error {
 	}
 	ca := a
 	m.areas[ca.ID] = &ca
+	m.areaOrder = nil
 	m.indexDirty = true
 	return nil
 }
@@ -78,6 +81,7 @@ func (m *Map) RestoreLanelet(l Lanelet) error {
 	l.invalidate()
 	cl := l
 	m.lanelets[cl.ID] = &cl
+	m.laneletOrder = nil
 	m.indexDirty = true
 	return nil
 }
@@ -92,6 +96,7 @@ func (m *Map) RestoreBundle(b LaneBundle) error {
 	}
 	cb := b
 	m.bundles[cb.ID] = &cb
+	m.bundleOrder = nil
 	m.indexDirty = true
 	return nil
 }
@@ -107,6 +112,7 @@ func (m *Map) RestoreRegulatory(r RegulatoryElement) error {
 	}
 	cr := r
 	m.regs[cr.ID] = &cr
+	m.regOrder = nil
 	return nil
 }
 
@@ -145,6 +151,8 @@ func (m *Map) Absorb(src *Map) error {
 		m.nextID = src.nextID
 	}
 	m.indexDirty = true
+	m.pointOrder, m.lineOrder, m.areaOrder = nil, nil, nil
+	m.laneletOrder, m.bundleOrder, m.regOrder = nil, nil, nil
 	if err := absorb(m.points, src.points, "point"); err != nil {
 		return err
 	}

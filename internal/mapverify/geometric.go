@@ -24,6 +24,9 @@ const maxIntersectSegs = 256
 // rules (width corridor, wrong-sided bounds, crossing bounds).
 func (e *engine) geometric() {
 	for _, id := range e.m.PointIDs() {
+		if !e.checks(id) {
+			continue
+		}
 		p, err := e.m.Point(id)
 		if err != nil {
 			continue
@@ -33,6 +36,9 @@ func (e *engine) geometric() {
 		}
 	}
 	for _, id := range e.m.LineIDs() {
+		if !e.checks(id) {
+			continue
+		}
 		l, err := e.m.Line(id)
 		if err != nil {
 			continue
@@ -40,6 +46,9 @@ func (e *engine) geometric() {
 		e.checkPolyline(id, "line", l.Geometry, 2)
 	}
 	for _, id := range e.m.AreaIDs() {
+		if !e.checks(id) {
+			continue
+		}
 		a, err := e.m.Area(id)
 		if err != nil {
 			continue
@@ -47,7 +56,9 @@ func (e *engine) geometric() {
 		e.checkPolyline(id, "area outline", geo.Polyline(a.Outline), 3)
 	}
 	for _, id := range e.m.LaneletIDs() {
-		e.laneletGeometry(id)
+		if e.checks(id) {
+			e.laneletGeometry(id)
+		}
 	}
 }
 

@@ -241,6 +241,18 @@ type engine struct {
 	// Violations slice, so error-preferential eviction at the cap can
 	// bail out in O(1) once only errors remain.
 	warnsKept int
+	// dirty, when set, limits the run to elements under these IDs (see
+	// delta.go); nil checks every element.
+	dirty map[core.ID]struct{}
+}
+
+// checks reports whether the run covers the element(s) under id.
+func (e *engine) checks(id core.ID) bool {
+	if e.dirty == nil {
+		return true
+	}
+	_, ok := e.dirty[id]
+	return ok
 }
 
 // add records one violation, honouring per-rule disables and the cap.
@@ -283,12 +295,18 @@ func (e *engine) add(rule string, sev Severity, id core.ID, format string, args 
 // It never mutates the map, never panics on structurally weird (e.g.
 // fuzz-decoded) input, and does bounded work per element.
 func Verify(m *core.Map, cfg Config) *Report {
-	cfg.defaults()
+	return VerifyFrom(nil, nil, m, cfg)
+}
+
+// run applies every enabled rule to the elements under the dirty IDs,
+// to every element when dirty is nil, and returns the findings unsorted.
+func run(m *core.Map, cfg Config, dirty map[core.ID]struct{}) *Report {
 	e := &engine{
-		m:   m,
-		cfg: cfg,
-		off: make(map[string]bool, len(cfg.Disable)),
-		rep: &Report{Checked: m.NumElements()},
+		m:     m,
+		cfg:   cfg,
+		off:   make(map[string]bool, len(cfg.Disable)),
+		rep:   &Report{Checked: m.NumElements()},
+		dirty: dirty,
 	}
 	for _, r := range cfg.Disable {
 		e.off[r] = true
@@ -296,8 +314,12 @@ func Verify(m *core.Map, cfg Config) *Report {
 	e.geometric()
 	e.topological()
 	e.semantic()
-	sort.Slice(e.rep.Violations, func(i, j int) bool {
-		a, b := e.rep.Violations[i], e.rep.Violations[j]
+	return e.rep
+}
+
+func sortViolations(v []Violation) {
+	sort.Slice(v, func(i, j int) bool {
+		a, b := v[i], v[j]
 		if a.ElementID != b.ElementID {
 			return a.ElementID < b.ElementID
 		}
@@ -306,5 +328,4 @@ func Verify(m *core.Map, cfg Config) *Report {
 		}
 		return a.Detail < b.Detail
 	})
-	return e.rep
 }

@@ -14,6 +14,9 @@ import (
 // the verifier is the layer that catches it).
 func (e *engine) semantic() {
 	for _, id := range e.m.PointIDs() {
+		if !e.checks(id) {
+			continue
+		}
 		p, err := e.m.Point(id)
 		if err != nil {
 			continue
@@ -23,6 +26,9 @@ func (e *engine) semantic() {
 		}
 	}
 	for _, id := range e.m.LineIDs() {
+		if !e.checks(id) {
+			continue
+		}
 		l, err := e.m.Line(id)
 		if err != nil {
 			continue
@@ -35,6 +41,9 @@ func (e *engine) semantic() {
 		}
 	}
 	for _, id := range e.m.AreaIDs() {
+		if !e.checks(id) {
+			continue
+		}
 		a, err := e.m.Area(id)
 		if err != nil {
 			continue
@@ -45,6 +54,9 @@ func (e *engine) semantic() {
 	}
 
 	for _, id := range e.m.LaneletIDs() {
+		if !e.checks(id) {
+			continue
+		}
 		l, err := e.m.Lanelet(id)
 		if err != nil {
 			continue
@@ -85,6 +97,9 @@ func (e *engine) semantic() {
 	}
 
 	for _, id := range e.m.RegulatoryIDs() {
+		if !e.checks(id) {
+			continue
+		}
 		r, err := e.m.Regulatory(id)
 		if err != nil {
 			continue

@@ -26,34 +26,54 @@ type endInfo struct {
 func (e *engine) topological() {
 	laneletIDs := e.m.LaneletIDs()
 
-	// Predecessor fan-in (for orphan and arity checks) and per-lanelet
-	// endpoint cache, built over the sorted ID list only — iteration
-	// order never touches a Go map.
-	predCount := make(map[core.ID]int, len(laneletIDs))
-	ends := make(map[core.ID]endInfo, len(laneletIDs))
-	for _, id := range laneletIDs {
-		l, err := e.m.Lanelet(id)
-		if err != nil {
-			continue
+	// Predecessor fan-in (for the orphan and arity checks), counted over
+	// the sorted ID list on first use: a run that covers no lanelet
+	// never pays for it.
+	var predCount map[core.ID]int
+	fanIn := func(id core.ID) int {
+		if predCount == nil {
+			predCount = make(map[core.ID]int, len(laneletIDs))
+			for _, id := range laneletIDs {
+				if l, err := e.m.Lanelet(id); err == nil {
+					for _, s := range l.Successors {
+						predCount[s]++
+					}
+				}
+			}
 		}
-		for _, s := range l.Successors {
-			predCount[s]++
+		return predCount[id]
+	}
+	// Per-lanelet endpoint cache, filled as links are followed; at most
+	// every lanelet the run covers and their successors end up in it.
+	room := len(laneletIDs)
+	if e.dirty != nil && len(e.dirty) < room {
+		room = len(e.dirty)
+	}
+	ends := make(map[core.ID]endInfo, room)
+	end := func(id core.ID, l *core.Lanelet) endInfo {
+		info, ok := ends[id]
+		if ok {
+			return info
 		}
-		cl := l.Centerline
-		if core.GeometryIssue(cl, 2) != "" {
-			ends[id] = endInfo{} // degenerate geometry already reported
-			continue
+		// Degenerate geometry is the geometric pass's finding; here it
+		// only leaves the lanelet without usable ends.
+		if cl := l.Centerline; core.GeometryIssue(cl, 2) == "" {
+			info = endInfo{
+				ok:     true,
+				start:  cl[0],
+				end:    cl[len(cl)-1],
+				startH: cl.HeadingAt(0),
+				endH:   cl.HeadingAt(cl.Length()),
+			}
 		}
-		ends[id] = endInfo{
-			ok:     true,
-			start:  cl[0],
-			end:    cl[len(cl)-1],
-			startH: cl.HeadingAt(0),
-			endH:   cl.HeadingAt(cl.Length()),
-		}
+		ends[id] = info
+		return info
 	}
 
 	for _, id := range laneletIDs {
+		if !e.checks(id) {
+			continue
+		}
 		l, err := e.m.Lanelet(id)
 		if err != nil {
 			continue
@@ -78,13 +98,13 @@ func (e *engine) topological() {
 			}
 		}
 
-		self := ends[id]
 		for _, sid := range l.Successors {
-			if _, err := e.m.Lanelet(sid); err != nil {
+			succ, err := e.m.Lanelet(sid)
+			if err != nil {
 				e.add(RuleDanglingRef, SevError, id, "successor lanelet %d does not exist", sid)
 				continue
 			}
-			next := ends[sid]
+			self, next := end(id, l), end(sid, succ)
 			if !self.ok || !next.ok {
 				continue // degenerate geometry already reported
 			}
@@ -104,17 +124,20 @@ func (e *engine) topological() {
 			e.add(RuleArity, SevWarn, id,
 				"split into %d successors (max %d)", len(l.Successors), e.cfg.MaxFanout)
 		}
-		if in := predCount[id]; in > e.cfg.MaxFanout {
+		if in := fanIn(id); in > e.cfg.MaxFanout {
 			e.add(RuleArity, SevWarn, id,
 				"merge of %d predecessors (max %d)", in, e.cfg.MaxFanout)
 		}
-		if len(laneletIDs) > 1 && len(l.Successors) == 0 && predCount[id] == 0 &&
+		if len(laneletIDs) > 1 && len(l.Successors) == 0 && fanIn(id) == 0 &&
 			l.LeftNeighbor == core.NilID && l.RightNeighbor == core.NilID {
 			e.add(RuleOrphan, SevWarn, id, "lanelet has no successors, predecessors, or neighbors")
 		}
 	}
 
 	for _, id := range e.m.BundleIDs() {
+		if !e.checks(id) {
+			continue
+		}
 		b, err := e.m.Bundle(id)
 		if err != nil {
 			continue
@@ -130,6 +153,9 @@ func (e *engine) topological() {
 	}
 
 	for _, id := range e.m.RegulatoryIDs() {
+		if !e.checks(id) {
+			continue
+		}
 		r, err := e.m.Regulatory(id)
 		if err != nil {
 			continue

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -371,12 +372,12 @@ func TestTilerSyncDropsVacatedTiles(t *testing.T) {
 	narrow.AddPoint(core.PointElement{
 		Class: core.ClassSign, Pos: geo.V3(10, 10, 2), Meta: core.Meta{Confidence: 0.9},
 	})
-	saved, deleted, err := tiler.SyncMap(store, narrow, "serve")
+	st, err := tiler.SyncMap(store, narrow, "serve", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if saved != 1 || deleted != 3 {
-		t.Errorf("saved/deleted = %d/%d, want 1/3", saved, deleted)
+	if st != (SyncStats{Saved: 1, Deleted: 3}) {
+		t.Errorf("sync = %+v, want 1 saved, 3 deleted", st)
 	}
 	back, err := tiler.LoadMap(store, "serve", "world")
 	if err != nil {
@@ -385,6 +386,88 @@ func TestTilerSyncDropsVacatedTiles(t *testing.T) {
 	if got := back.NumElements(); got != 1 {
 		t.Errorf("reloaded %d elements, want 1 (stale tiles must be gone)", got)
 	}
+}
+
+// putFailer fails the Put of one tile.
+type putFailer struct {
+	TileStore
+	fail TileKey
+}
+
+func (s putFailer) Put(key TileKey, data []byte) error {
+	if key == s.fail {
+		return errors.New("injected put failure")
+	}
+	return s.TileStore.Put(key, data)
+}
+
+func TestTilerSyncWritesOnlyChangedTiles(t *testing.T) {
+	tiler := Tiler{TileSize: 100}
+	store := NewMemStore()
+	written := make(map[TileKey]uint32)
+	sync := func(s TileStore, m *core.Map, want SyncStats, what string) {
+		t.Helper()
+		st, err := tiler.SyncMap(s, m, "serve", written)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if st != want {
+			t.Fatalf("%s: sync = %+v, want %+v", what, st, want)
+		}
+		// Whatever was skipped, the layer is what one full write of m
+		// into an empty store gives.
+		fresh := NewMemStore()
+		if _, err := tiler.SaveMap(fresh, m, "serve"); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(store.tiles, fresh.tiles) {
+			t.Fatalf("%s: layer differs from a full write", what)
+		}
+	}
+
+	m := core.NewMap("world")
+	var ids []core.ID
+	for i := 0; i < 4; i++ {
+		ids = append(ids, m.AddPoint(core.PointElement{
+			Class: core.ClassSign, Pos: geo.V3(float64(i)*150, 10, 2),
+			Meta: core.Meta{Confidence: 0.9},
+		}))
+	}
+	sync(store, m, SyncStats{Saved: 4}, "first publish")
+	sync(store, m, SyncStats{Unchanged: 4}, "nothing changed")
+
+	if err := m.UpdatePoint(ids[1], func(p *core.PointElement) { p.Pos.Y += 5 }); err != nil {
+		t.Fatal(err)
+	}
+	sync(store, m, SyncStats{Saved: 1, Unchanged: 3}, "one point moved inside its tile")
+
+	// Across a tile boundary: the tile it left goes, the one it entered
+	// is new.
+	if err := m.UpdatePoint(ids[1], func(p *core.PointElement) { p.Pos.Y += 100 }); err != nil {
+		t.Fatal(err)
+	}
+	sync(store, m, SyncStats{Saved: 1, Unchanged: 3, Deleted: 1}, "one point moved to another tile")
+
+	// A tile that went missing behind the publisher's back is written
+	// again although its checksum is the one remembered.
+	gone := TileKey{Layer: "serve", TX: 0, TY: 0}
+	if err := store.Delete(gone); err != nil {
+		t.Fatal(err)
+	}
+	sync(store, m, SyncStats{Saved: 1, Unchanged: 3}, "tile deleted behind the publisher")
+
+	// A failed Put leaves the store's tile unknown: it is forgotten and
+	// written again by the next publish, changed or not.
+	if err := m.UpdatePoint(ids[0], func(p *core.PointElement) { p.Pos.Y += 5 }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tiler.SyncMap(putFailer{store, gone}, m, "serve", written); err == nil {
+		t.Fatal("injected put failure not reported")
+	}
+	if _, ok := written[gone]; ok {
+		t.Fatal("tile whose put failed is still remembered")
+	}
+	sync(store, m, SyncStats{Saved: 1, Unchanged: 3}, "publish after a failed put")
 }
 
 func BenchmarkEncodeBinary(b *testing.B) {

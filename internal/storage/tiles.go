@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -332,34 +333,62 @@ func (t Tiler) SaveMap(store TileStore, m *core.Map, layer string) (int, error) 
 	return len(tiles), nil
 }
 
-// SyncMap makes layer's stored tile set exactly m's: it writes every
-// tile of the split and deletes stale tiles left over from a previous
+// SyncStats counts what one SyncMap did to a layer's tiles.
+type SyncStats struct {
+	Saved, Unchanged, Deleted int
+}
+
+// SyncMap makes layer's stored tile set exactly m's: it writes the
+// tiles of the split and deletes stale tiles left over from a previous
 // version of the layer. SaveMap alone is not enough when a layer is
 // republished — an element migrating across a tile boundary (or a
 // rollback shrinking the map) would otherwise leave its old tile behind
 // and LoadMap would stitch the element twice.
-func (t Tiler) SyncMap(store TileStore, m *core.Map, layer string) (saved, deleted int, err error) {
+//
+// written is the publisher's memory of the layer: the CRC32-C of every
+// tile its earlier calls put there. A tile whose encoding still has
+// that checksum and which the store still lists is left alone, which
+// is sound as long as nobody else writes the layer. SyncMap keeps
+// written in step with what it puts and deletes, also when it fails
+// part way; nil remembers nothing and writes every tile.
+func (t Tiler) SyncMap(store TileStore, m *core.Map, layer string, written map[TileKey]uint32) (SyncStats, error) {
+	var st SyncStats
 	tiles := t.Split(m, layer)
-	for key, sm := range tiles {
-		if err := store.Put(key, EncodeBinary(sm)); err != nil {
-			return saved, deleted, fmt.Errorf("storage: save tile %v: %w", key, err)
-		}
-		saved++
-	}
 	keys, err := store.Keys(layer)
 	if err != nil {
-		return saved, deleted, fmt.Errorf("storage: sync layer %q: %w", layer, err)
+		return st, fmt.Errorf("storage: sync layer %q: %w", layer, err)
+	}
+	stored := make(map[TileKey]bool, len(keys))
+	for _, key := range keys {
+		stored[key] = true
+	}
+	for key, sm := range tiles {
+		data := EncodeBinary(sm)
+		sum := crc32.Checksum(data, castagnoli)
+		if last, ok := written[key]; ok && last == sum && stored[key] {
+			st.Unchanged++
+			continue
+		}
+		if err := store.Put(key, data); err != nil {
+			delete(written, key) // what the store holds now is anyone's guess
+			return st, fmt.Errorf("storage: save tile %v: %w", key, err)
+		}
+		if written != nil {
+			written[key] = sum
+		}
+		st.Saved++
 	}
 	for _, key := range keys {
 		if _, live := tiles[key]; live {
 			continue
 		}
 		if err := store.Delete(key); err != nil {
-			return saved, deleted, fmt.Errorf("storage: drop stale tile %v: %w", key, err)
+			return st, fmt.Errorf("storage: drop stale tile %v: %w", key, err)
 		}
-		deleted++
+		delete(written, key)
+		st.Deleted++
 	}
-	return saved, deleted, nil
+	return st, nil
 }
 
 // LoadMap reads all tiles of a layer and stitches them into one map.

@@ -112,6 +112,16 @@ func (f *Fuser) state(id core.ID) *elemState {
 	return s
 }
 
+// update changes a mapped point through the map, which stamps it: an
+// element written through the pointer PointsIn returned would keep its
+// version and stamp, and the tile it is published in its clock, while
+// its bytes changed.
+func (f *Fuser) update(id core.ID, change func(*core.PointElement)) {
+	// The ID comes from a PointsIn of this map, made after the last
+	// removal, so the element is there.
+	_ = f.Map.UpdatePoint(id, change)
+}
+
 // ValidObservation reports whether o is safe to fuse: finite
 // coordinates, finite variance, and a known class.
 func ValidObservation(o Observation) bool {
@@ -158,11 +168,13 @@ func (f *Fuser) Observe(obs []Observation, view geo.AABB, stamp uint64) {
 			k := st.posVar / (st.posVar + o.PosVar)
 			nx := best.Pos.X + k*(o.P.X-best.Pos.X)
 			ny := best.Pos.Y + k*(o.P.Y-best.Pos.Y)
-			best.Pos = geo.V3(nx, ny, best.Pos.Z)
+			f.update(best.ID, func(p *core.PointElement) {
+				p.Pos = geo.V3(nx, ny, p.Pos.Z)
+				p.Meta.Observy++
+				p.Meta.Confidence = math.Min(1, p.Meta.Confidence+0.15*(1-p.Meta.Confidence))
+			})
 			st.posVar *= 1 - k
 			st.lastSeen = stamp
-			best.Meta.Observy++
-			best.Meta.Confidence = math.Min(1, best.Meta.Confidence+0.15*(1-best.Meta.Confidence))
 			matched[best.ID] = true
 			continue
 		}
@@ -208,13 +220,16 @@ func (f *Fuser) Observe(obs []Observation, view geo.AABB, stamp uint64) {
 
 	// Decay unobserved in-view elements; drop the hopeless ones.
 	var remove []core.ID
+	// One missed-pass decay step (per-visit hazard, Liu's time-decay
+	// term).
+	decay := func(p *core.PointElement) {
+		p.Meta.Confidence *= math.Exp2(-1 / f.cfg.DecayHalfLife)
+	}
 	for _, p := range f.Map.PointsIn(view, core.ClassUnknown) {
 		if matched[p.ID] {
 			continue
 		}
-		// One missed-pass decay step (per-visit hazard, Liu's time-decay
-		// term).
-		p.Meta.Confidence *= math.Exp2(-1 / f.cfg.DecayHalfLife)
+		f.update(p.ID, decay)
 		if p.Meta.Confidence < f.cfg.DemoteConf {
 			remove = append(remove, p.ID)
 		}

@@ -8,6 +8,7 @@ import (
 
 	"hdmaps/internal/core"
 	"hdmaps/internal/geo"
+	"hdmaps/internal/storage"
 )
 
 func signAt(m *core.Map, x, y float64) core.ID {
@@ -53,6 +54,53 @@ func TestFusionRefinesPosition(t *testing.T) {
 	}
 	if p.Meta.Observy < 30 {
 		t.Errorf("observy = %d", p.Meta.Observy)
+	}
+}
+
+// TestFuseAdvancesTileClock: whatever a fuse changes in a tile's bytes
+// — a matched point moved, an unobserved one decayed — also moves the
+// tile's content-derived clock forward, and the map's with it. The
+// cluster orders two states of a tile by clock first; with equal
+// clocks it falls back on comparing bytes, which says nothing about
+// which is newer.
+func TestFuseAdvancesTileClock(t *testing.T) {
+	m := core.NewMap("t")
+	signAt(m, 10, 0)
+	signAt(m, 30, 0) // in view, never observed: decays
+	f, err := NewFuser(m, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := geo.NewAABB(geo.V2(0, -10), geo.V2(40, 10))
+	tile := func() (uint64, []byte) {
+		t.Helper()
+		tiles := storage.Tiler{}.Split(m, "serve")
+		if len(tiles) != 1 {
+			t.Fatalf("fixture: want one tile, have %d", len(tiles))
+		}
+		for _, sm := range tiles {
+			return sm.Clock, storage.EncodeBinary(sm)
+		}
+		panic("unreachable")
+	}
+	clock, data := tile()
+	for step, obs := range [][]Observation{
+		{{Class: core.ClassSign, P: geo.V2(10.4, 0.1), PosVar: 0.09, Stamp: 1}}, // match: moves one, decays the other
+		{}, // nothing observed: both decay
+	} {
+		mapClock := m.Clock
+		f.Observe(obs, view, uint64(step+1))
+		nextClock, nextData := tile()
+		if string(nextData) == string(data) {
+			t.Fatalf("step %d: fixture: fuse left the tile's bytes alone", step)
+		}
+		if nextClock <= clock {
+			t.Errorf("step %d: tile bytes changed but its clock went %d -> %d", step, clock, nextClock)
+		}
+		if m.Clock <= mapClock {
+			t.Errorf("step %d: map changed but its clock went %d -> %d", step, mapClock, m.Clock)
+		}
+		clock, data = nextClock, nextData
 	}
 }
 

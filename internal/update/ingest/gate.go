@@ -107,8 +107,19 @@ func (e *GateError) Error() string {
 // parent (nil parent = genesis commit, delta constraints skipped). It
 // returns nil when the candidate may be published.
 func CheckCommit(parent, next *core.Map, cfg GateConfig) []GateViolation {
+	out, _ := checkCommit(parent, nil, next, cfg)
+	return out
+}
+
+// checkCommit is CheckCommit for a caller that kept prev, the report
+// this gate's constraint engine made of parent (nil when it did not):
+// the engine then re-checks only what the step from parent to next can
+// have affected. It also returns the engine's report of next, for the
+// caller to keep in turn; nil when the engine is disabled.
+func checkCommit(parent *core.Map, prev *mapverify.Report, next *core.Map, cfg GateConfig) ([]GateViolation, *mapverify.Report) {
 	cfg.defaults()
 	var out []GateViolation
+	var rep *mapverify.Report
 
 	// Invariant 1: the candidate is structurally and geometrically
 	// consistent on its own.
@@ -127,7 +138,7 @@ func CheckCommit(parent, next *core.Map, cfg GateConfig) []GateViolation {
 	// findings block like any other invariant; Warns never do. The
 	// report is capped the same way the validate family is.
 	if !cfg.DisableVerify {
-		rep := mapverify.Verify(next, cfg.Verify)
+		rep = mapverify.VerifyFrom(parent, prev, next, cfg.Verify)
 		shown := 0
 		for _, v := range rep.Violations {
 			if v.Severity != mapverify.SevError {
@@ -155,7 +166,7 @@ func CheckCommit(parent, next *core.Map, cfg GateConfig) []GateViolation {
 	}
 
 	if parent == nil {
-		return out
+		return out, rep
 	}
 
 	// Invariant 2/3: bounded churn. A legitimate maintenance batch
@@ -215,5 +226,5 @@ func CheckCommit(parent, next *core.Map, cfg GateConfig) []GateViolation {
 			}
 		}
 	}
-	return out
+	return out, rep
 }

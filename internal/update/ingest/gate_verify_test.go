@@ -3,6 +3,7 @@ package ingest
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"hdmaps/internal/core"
@@ -64,6 +65,11 @@ func TestGateQuarantinesCorruption(t *testing.T) {
 			}
 			if !found {
 				t.Fatalf("%s rejected, but not by the mapverify invariant: %v", kind, ge.Violations)
+			}
+			// The store checked the candidate starting from its parent's
+			// report; the verdict is the full pass's.
+			if full := CheckCommit(vs.Frozen(), m, vs.gate); !reflect.DeepEqual(ge.Violations, full) {
+				t.Fatalf("%s: store rejected with %v, a full check gives %v", kind, ge.Violations, full)
 			}
 			if after := mapverifyRejects(); after <= before {
 				t.Fatalf("%s: per-rule counters did not move (%d -> %d)", kind, before, after)

@@ -144,13 +144,17 @@ type Service struct {
 	quar  *Quarantine
 	pool  *pool
 
-	mu          sync.Mutex // guards working/fuser/seen/highWater/sinceCommit
+	mu          sync.Mutex // guards working/fuser/seen/highWater/sinceCommit/tileSums
 	working     *core.Map
 	fuser       *incremental.Fuser
 	seen        map[string]map[uint64]struct{}
 	highWater   uint64
 	sinceCommit int
 	droppedObs  uint64 // DroppedInvalid from retired fusers
+	// tileSums is the checksum of every tile this service has put in the
+	// publish layer, so that a publish writes only the tiles a version
+	// changed. It starts empty: the first publish writes them all.
+	tileSums map[storage.TileKey]uint32
 
 	brMu     sync.Mutex
 	breakers map[string]*Breaker
@@ -227,6 +231,7 @@ func NewService(store *VersionStore, cfg Config) (*Service, error) {
 		quar:     NewQuarantine(cfg.QuarantineCap),
 		seen:     make(map[string]map[uint64]struct{}),
 		breakers: make(map[string]*Breaker),
+		tileSums: make(map[storage.TileKey]uint32),
 		log:      obs.OrNop(cfg.Log),
 		om:       newServiceMetrics(reg),
 		tracer:   cfg.Tracer,
@@ -507,7 +512,7 @@ func (s *Service) publishCurrent(v Version, parent *obs.Span) {
 	}
 	psp := parent.StartChild("publish")
 	publishStart := time.Now()
-	_, _, err := p.Tiler.SyncMap(p.Store, frozen, p.Layer)
+	_, err := p.Tiler.SyncMap(p.Store, frozen, p.Layer, s.tileSums)
 	publishDur := time.Since(publishStart)
 	s.om.stage.With("publish").Observe(publishDur.Seconds())
 	if err != nil {

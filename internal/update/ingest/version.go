@@ -113,6 +113,11 @@ type VersionStore struct {
 	versions []archived
 	current  int       // current seq, 0 = none
 	frozen   *core.Map // decoded current, indexes frozen, read-only
+	// verified is the gate's constraint-engine report of frozen, kept
+	// from the commit that made it so the next commit's check can start
+	// from it; nil when frozen was decoded from the archive instead
+	// (on open, after Rollback).
+	verified *mapverify.Report
 	metrics  *gateMetrics
 }
 
@@ -250,7 +255,8 @@ func (vs *VersionStore) Commit(m *core.Map, note string) (Version, error) {
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
 	vs.metrics.checked.Inc()
-	if viol := CheckCommit(vs.frozen, m, vs.gate); len(viol) > 0 {
+	viol, verified := checkCommit(vs.frozen, vs.verified, m, vs.gate)
+	if len(viol) > 0 {
 		vs.metrics.observe(viol)
 		return Version{}, &GateError{Violations: viol}
 	}
@@ -273,7 +279,7 @@ func (vs *VersionStore) Commit(m *core.Map, note string) (Version, error) {
 		vs.current = prevCurrent
 		return Version{}, err
 	}
-	vs.frozen = frozen
+	vs.frozen, vs.verified = frozen, verified
 	return info, nil
 }
 
@@ -303,7 +309,7 @@ func (vs *VersionStore) Rollback(n int) (Version, error) {
 		vs.current = prev
 		return Version{}, err
 	}
-	vs.frozen = m
+	vs.frozen, vs.verified = m, nil
 	return a.info, nil
 }
 
