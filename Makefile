@@ -9,6 +9,9 @@
 #   make soak-cluster — node-kill chaos against the replicated cluster.
 #   make soak-antientropy — delete/crash/revive chaos converged by
 #                   background sweeps alone (no reads).
+#   make soak-reads — seeded divergent-replica schedules through the
+#                   state-probe quorum read, checked against full-body
+#                   comparison.
 #   make soak-alerting — fault arcs through the push-alerting plane:
 #                   incidents, webhook delivery under chaos, flap damping.
 #   make loadtest — run the closed-loop load generator against a
@@ -23,11 +26,12 @@ SOAK_REPORTS ?= 1200
 SOAK_GETS ?= 4000
 SOAK_CLUSTER_GETS ?= 3000
 SOAK_AE_DELETES ?= 8
+SOAK_READ_SEEDS ?= 3000
 SOAK_ALERT_ARCS ?= 2
 
-.PHONY: verify vet vet-obs build test race soak soak-overload soak-cluster soak-antientropy soak-alerting loadtest fuzz-smoke fuzz bench bench-gate bench-baseline
+.PHONY: verify vet vet-obs build test race soak soak-overload soak-cluster soak-antientropy soak-reads soak-alerting loadtest fuzz-smoke fuzz bench bench-gate bench-baseline
 
-verify: vet vet-obs build race soak soak-overload soak-cluster soak-antientropy soak-alerting fuzz-smoke
+verify: vet vet-obs build race soak soak-overload soak-cluster soak-antientropy soak-reads soak-alerting fuzz-smoke
 	@echo "verify: all green"
 
 vet:
@@ -48,6 +52,8 @@ test:
 
 # The race detector runs over the full suite — the chaos integration
 # tests hammer the client/server concurrently and are the main customer.
+# (TestReadProtocolProperty's default 1000 schedules ride along here;
+# soak-reads runs the larger batch.)
 race:
 	$(GO) test -race ./...
 
@@ -83,6 +89,16 @@ soak-cluster:
 # ledger balanced, bounded by SOAK_AE_DELETES.
 soak-antientropy:
 	SOAK_AE_DELETES=$(SOAK_AE_DELETES) $(GO) test -race -run '^TestAntiEntropySoak$$' -count=1 ./internal/chaos
+
+# Read protocol: SOAK_READ_SEEDS seeded schedules write a key's three
+# owners directly into divergent states (older/newer clock, same clock
+# with different bytes, tombstone vs live, two same-clock markers,
+# absent) with owners down — the body owner included — and assert the
+# routed GET answers what comparing full bodies selects and that
+# read-repair converges every reachable owner on the winner. A failing
+# seed is printed; replay it with READ_SEED=<n>.
+soak-reads:
+	SOAK_READ_SEEDS=$(SOAK_READ_SEEDS) $(GO) test -race -run '^TestReadProtocolProperty$$' -count=1 ./internal/cluster
 
 # Active observability plane: repeated total-fleet kill/revive arcs must
 # each mint exactly one availability incident bundling the kill+revival

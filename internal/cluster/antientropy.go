@@ -313,7 +313,7 @@ func (rt *Router) syncKey(trace string, span *obs.Span, key storage.TileKey, sou
 			continue
 		}
 		ctx, cancel := rt.legContext(context.Background())
-		res := rt.shardGet(ctx, trace, leg, m, key)
+		res := rt.shardRead(ctx, trace, leg, m, key, true)
 		cancel()
 		legs = append(legs, res)
 	}
@@ -329,22 +329,16 @@ func (rt *Router) syncKey(trace string, span *obs.Span, key storage.TileKey, sou
 		}
 		if src != nil && !isOwner && src.Alive() {
 			ctx, cancel := rt.legContext(context.Background())
-			res := rt.shardGet(ctx, trace, leg, src, key)
+			res := rt.shardRead(ctx, trace, leg, src, key, true)
 			cancel()
-			if res.ok && (res.found || res.tomb) {
+			if res.ok && res.st.Present() {
 				legs = append(legs, res)
 			}
 		}
 	}
 
-	var winner *legResult
-	for i := range legs {
-		l := &legs[i]
-		if (l.found || l.tomb) && (winner == nil ||
-			storage.FresherState(l.tomb, l.clock, l.data, winner.tomb, winner.clock, winner.data)) {
-			winner = l
-		}
-	}
+	// Every leg carries its bytes, so ranking them reads nothing more.
+	winner := rt.winnerOf(trace, leg, key, legs, false)
 	if winner == nil {
 		rt.stats.aeRepairsSkipped.Inc()
 		leg.Fail("no winner readable")
@@ -360,7 +354,7 @@ func (rt *Router) syncKey(trace string, span *obs.Span, key storage.TileKey, sou
 		if !ownerSet[l.m] || l.m == winner.m {
 			continue
 		}
-		if l.ok && l.tomb == winner.tomb && l.found == winner.found && bytes.Equal(l.data, winner.data) {
+		if l.ok && l.st.Tomb == winner.st.Tomb && bytes.Equal(l.data, winner.data) {
 			continue // already converged
 		}
 		if !l.ok && !l.integrity {
@@ -369,10 +363,10 @@ func (rt *Router) syncKey(trace string, span *obs.Span, key storage.TileKey, sou
 		}
 		expect := ""
 		if !l.integrity {
-			expect = legExpectOf(l)
+			expect = l.st.String()
 		}
 		ctx, cancel := rt.legContext(context.Background())
-		err := rt.shardPut(ctx, trace, leg, l.m, key, winner.data, winner.sum, expect)
+		err := rt.shardPut(ctx, trace, leg, l.m, key, winner.data, winner.st.Sum, expect)
 		cancel()
 		if err != nil {
 			rt.stats.aeRepairsSkipped.Inc()
@@ -420,23 +414,21 @@ func (rt *Router) gcPass(trace string, span *obs.Span) {
 		allAbsent := true
 		superseded := false
 		readable := true
-		var states []legResult
 		for _, o := range owners {
 			ctx, cancel := rt.legContext(context.Background())
-			res := rt.shardGet(ctx, trace, leg, o, key)
+			res := rt.shardRead(ctx, trace, leg, o, key, false)
 			cancel()
 			if !res.ok {
 				readable = false
 				break
 			}
-			states = append(states, res)
-			if res.clock > e.Clock {
+			if res.st.Clock > e.Clock {
 				superseded = true
 			}
-			if res.found || res.tomb {
+			if res.st.Present() {
 				allAbsent = false
 			}
-			if !res.tomb || res.clock != e.Clock {
+			if !res.st.Tomb || res.st.Clock != e.Clock {
 				allHold = false
 			}
 		}

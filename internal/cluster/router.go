@@ -255,6 +255,8 @@ type Router struct {
 	sloEng    *slo.Engine
 	aeAge     *obs.Gauge
 	lastSweep atomic.Int64
+	// bodyTurn rotates which live owner a read asks for the tile bytes.
+	bodyTurn atomic.Uint64
 	// Active plane (nil when disabled): the event journal (/eventz),
 	// incident manager (/incidentz), and push notifier. ownJournal
 	// marks a journal the router built itself and must close.
@@ -275,16 +277,15 @@ type Router struct {
 }
 
 // repairJob asks the repair worker to bring one replica up to the
-// winner observed by a quorum read. (Sweep-found divergences are
-// reconciled inline by the sweeper via syncKey, not queued here.)
+// winner observed by a quorum read. The winner may be known only by
+// state (a probe answered it); the worker then reads its bytes from
+// win.m when it runs. (Sweep-found divergences are reconciled inline by
+// the sweeper via syncKey, not queued here.)
 type repairJob struct {
-	m      *member
-	key    storage.TileKey
-	data   []byte
-	sum    string
-	clock  uint64
-	tomb   bool   // payload is a tombstone marker, not tile bytes
-	expect string // conditional-write precondition observed on the target
+	m       *member
+	key     storage.TileKey
+	win     legResult
+	damaged bool // the target served damaged bytes
 }
 
 // NewRouter validates cfg and builds a stopped router; call Start to
@@ -391,6 +392,9 @@ func (rt *Router) Close() {
 	rt.closeMu.Unlock()
 	close(rt.stop)
 	rt.bg.Wait()
+	// Drop pooled shard connections, dialled-but-never-used ones included:
+	// a node's http.Server.Shutdown waits five seconds on each of those.
+	rt.httpc.CloseIdleConnections()
 	// Quiesce the push plane after background work stops emitting:
 	// Close drains every sink queue, so the delivery ledger balances
 	// with pending at zero.
@@ -786,31 +790,16 @@ func (rt *Router) tombstoneStatus() []TombstoneStatus {
 
 // ---- shard legs ------------------------------------------------------
 
-// legResult is one replica's answer to a read.
+// legResult is one replica's answer to a read. A body leg (GET) carries
+// the payload it verified; a probe (HEAD) carries only the state the
+// shard keeps for the key.
 type legResult struct {
 	m         *member
-	ok        bool // definitive answer: found tile, tombstone, or authoritative miss
-	found     bool
-	tomb      bool // the replica holds a deletion marker; data is the marker bytes
-	data      []byte
-	sum       string
-	clock     uint64
-	integrity bool // reachable but served damaged bytes — repairable
+	ok        bool // definitive answer: live tile, tombstone, or authoritative miss
+	st        storage.ReplicaState
+	data      []byte // tile or marker bytes; nil on a probe and on a miss
+	integrity bool   // reachable but served damaged bytes — repairable
 	errMsg    string
-}
-
-// legExpectOf renders a leg's observed state as a conditional-write
-// precondition: whatever mutation follows is accepted by the shard only
-// if the state is still exactly this.
-func legExpectOf(l *legResult) string {
-	switch {
-	case l.tomb:
-		return storage.ReplicaState{Tomb: true, Clock: l.clock}.String()
-	case l.found:
-		return storage.ReplicaState{Found: true, Clock: l.clock, Sum: l.sum}.String()
-	default:
-		return "absent"
-	}
 }
 
 // Semantic (non-error) write outcomes: the shard answered, ordered the
@@ -852,12 +841,18 @@ func legHeaders(req *http.Request, trace string, leg *obs.Span) {
 	}
 }
 
-// shardGet reads one replica and classifies the answer. Transport
-// errors strike the failure detector; damaged payloads (checksum
-// mismatch, unreadable header) are flagged for repair.
-func (rt *Router) shardGet(ctx context.Context, trace string, leg *obs.Span, m *member, key storage.TileKey) legResult {
+// shardRead asks one replica for a key and classifies the answer. With
+// body it is a GET whose payload is verified against the shard's
+// checksum and the tile size limit; without, a HEAD that moves only the
+// (clock, crc) state the shard keeps. Transport errors strike the
+// failure detector; damaged payloads are flagged for repair.
+func (rt *Router) shardRead(ctx context.Context, trace string, leg *obs.Span, m *member, key storage.TileKey, body bool) legResult {
 	res := legResult{m: m}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rt.tileURL(m.node.Base, key), nil)
+	method := http.MethodHead
+	if body {
+		method = http.MethodGet
+	}
+	req, err := http.NewRequestWithContext(ctx, method, rt.tileURL(m.node.Base, key), nil)
 	if err != nil {
 		res.errMsg = err.Error()
 		return res
@@ -871,63 +866,67 @@ func (rt *Router) shardGet(ctx context.Context, trace string, leg *obs.Span, m *
 		return res
 	}
 	defer func() { _ = resp.Body.Close() }()
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		data, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.maxTileBytes()+1))
-		if err != nil {
-			rt.noteFailure(m, err.Error())
-			rt.stats.shardErrors.With(m.node.Name).Inc()
-			res.errMsg = err.Error()
-			return res
-		}
-		sum := storage.Checksum(data)
-		if want := resp.Header.Get(storage.ChecksumHeader); want != "" && want != sum {
-			rt.stats.integrityFailures.Inc()
-			res.integrity = true
-			res.errMsg = "checksum mismatch"
-			return res
-		}
-		clock, err := storage.PeekClock(data)
-		if err != nil {
-			if ts, derr := storage.DecodeTombstone(data); derr == nil {
-				// A parked deletion marker read back from a hint layer
-				// (hint layers store payloads raw).
-				res.ok, res.tomb, res.data, res.sum, res.clock = true, true, data, sum, ts.Clock
-				return res
-			}
-			rt.stats.integrityFailures.Inc()
-			res.integrity = true
-			res.errMsg = "unreadable tile: " + err.Error()
-			return res
-		}
-		res.ok, res.found, res.data, res.sum, res.clock = true, true, data, sum, clock
-		return res
-	case resp.StatusCode == http.StatusNotFound:
-		if resp.Header.Get(storage.TombstoneHeader) != "" {
-			// Deleted, not merely absent: the body carries the marker.
-			data, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.maxTileBytes()+1))
-			if err == nil {
-				sum := storage.Checksum(data)
-				want := resp.Header.Get(storage.ChecksumHeader)
-				if want == "" || want == sum {
-					if ts, derr := storage.DecodeTombstone(data); derr == nil {
-						res.ok, res.tomb, res.data, res.sum, res.clock = true, true, data, sum, ts.Clock
-						return res
-					}
-				}
-			}
-			rt.stats.integrityFailures.Inc()
-			res.integrity = true
-			res.errMsg = "unreadable tombstone"
-			return res
-		}
-		res.ok = true // an authoritative miss is a valid quorum answer
-		return res
-	default:
+	live := resp.StatusCode == http.StatusOK
+	if !live && resp.StatusCode != http.StatusNotFound {
 		rt.stats.shardErrors.With(m.node.Name).Inc()
 		res.errMsg = "status " + resp.Status
 		return res
 	}
+	sum := resp.Header.Get(storage.ChecksumHeader)
+	if !body {
+		var st storage.ReplicaState // a bare 404 is an authoritative miss, as on a GET
+		if v := resp.Header.Get(storage.StateHeader); v != "" || live {
+			st, err = storage.ParseReplicaState(v)
+		}
+		if err != nil || st.Found != live {
+			rt.stats.shardErrors.With(m.node.Name).Inc()
+			res.errMsg = "unreadable probe answer"
+			return res
+		}
+		if st.Tomb {
+			st.Sum = sum // the marker's checksum rides its own header
+		}
+		res.ok, res.st = true, st
+		return res
+	}
+	if !live && resp.Header.Get(storage.TombstoneHeader) == "" {
+		res.ok = true // an authoritative miss is a valid quorum answer
+		return res
+	}
+	damaged := func(msg string) legResult {
+		rt.stats.integrityFailures.Inc()
+		res.integrity, res.errMsg = true, msg
+		return res
+	}
+	data, err := storage.ReadBody(resp.Body, resp.ContentLength, rt.cfg.maxTileBytes())
+	switch {
+	case errors.Is(err, storage.ErrBodyTooLarge):
+		// Never truncate: a cut body would pass the header-only clock peek.
+		return damaged(err.Error())
+	case err != nil:
+		rt.noteFailure(m, err.Error())
+		rt.stats.shardErrors.With(m.node.Name).Inc()
+		res.errMsg = err.Error()
+		return res
+	case sum == "":
+		sum = storage.Checksum(data)
+	case !storage.ChecksumMatches(sum, data):
+		return damaged("checksum mismatch")
+	}
+	st := storage.ReplicaState{Sum: sum}
+	if clock, err := storage.PeekClock(data); live && err == nil {
+		st.Found, st.Clock = true, clock
+	} else if ts, derr := storage.DecodeTombstone(data); derr == nil {
+		// A 404's deletion marker — or, on a 200, a parked marker read
+		// back from a hint layer (hint layers store payloads raw).
+		st.Tomb, st.Clock = true, ts.Clock
+	} else if live {
+		return damaged("unreadable tile: " + err.Error())
+	} else {
+		return damaged("unreadable tombstone")
+	}
+	res.ok, res.st, res.data = true, st, data
+	return res
 }
 
 // shardPut writes one replica (2xx is success). A non-empty expect is
@@ -1004,6 +1003,13 @@ func (rt *Router) shardDelete(ctx context.Context, trace string, leg *obs.Span, 
 
 // ---- read path -------------------------------------------------------
 
+// handleTileGet reads at quorum for the price of one body: one live
+// owner (rotating per read, so each replica's bytes at rest are still
+// verified by 1/R of the reads that touch it) is asked for the tile,
+// the others only for their state. The answer waits for a read quorum
+// of definitive answers and for the body leg, and is the FresherState
+// winner of the owners that answered — a second body is read only when
+// a probe beats, or cannot be ordered against, the body in hand.
 func (rt *Router) handleTileGet(w http.ResponseWriter, r *http.Request, span *obs.Span, key storage.TileKey) {
 	rt.stats.reads.Inc()
 	owners := rt.ownersFor(key)
@@ -1018,14 +1024,66 @@ func (rt *Router) handleTileGet(w http.ResponseWriter, r *http.Request, span *ob
 	}
 	span.SetAttrInt("owners", int64(len(owners)))
 
+	var bodyOwner *member
+	turn := int(rt.bodyTurn.Add(1) % uint64(len(owners)))
+	for i := range owners {
+		if m := owners[(turn+i)%len(owners)]; m.Alive() {
+			bodyOwner = m
+			break
+		}
+	}
+	results := rt.readLegs(r, span, key, owners, bodyOwner)
+
+	all := make([]legResult, 0, len(owners))
+	for len(all) < len(owners) {
+		res := <-results
+		all = append(all, res)
+		if res.m == bodyOwner {
+			bodyOwner = nil // reported
+		}
+		if bodyOwner != nil || answered(all) < need {
+			continue
+		}
+		win := rt.winnerOf(trace, span, key, all, true)
+		if answered(all) < need {
+			continue // a second-body read failed: that owner no longer counts
+		}
+		if win != nil && win.st.Found {
+			w.Header().Set("Content-Type", "application/octet-stream")
+			w.Header().Set(storage.ChecksumHeader, win.st.Sum)
+			w.Header().Set("Content-Length", strconv.Itoa(len(win.data)))
+			_, _ = w.Write(win.data)
+		} else {
+			// Absent and tombstoned both read as 404 to clients; the
+			// marker is cluster machinery, not payload.
+			rt.writeJSONErrorRaw(w, http.StatusNotFound, "tile not found")
+		}
+		rt.stats.served.Inc()
+		// Remaining legs finish in the background purely to feed
+		// read-repair; the client is already answered.
+		if remaining := len(owners) - len(all); remaining > 0 &&
+			rt.goBG(func() { rt.finishRead(trace, key, results, all, remaining) }) {
+			return
+		}
+		rt.scheduleRepairs(trace, key, all)
+		return
+	}
+	rt.stats.quorumFailures.Inc()
+	span.Fail("read quorum failed")
+	rt.shed(w, span, fmt.Sprintf("read quorum failed: %d/%d answers", answered(all), need))
+	rt.scheduleRepairs(trace, key, all)
+}
+
+// readLegs asks every owner for key concurrently — bodyOwner for the
+// payload, the rest for their state — and returns the channel their
+// len(owners) answers arrive on. A known-dead owner cannot contribute to
+// a quorum; its leg fails instantly instead of burning ShardTimeout.
+func (rt *Router) readLegs(r *http.Request, span *obs.Span, key storage.TileKey, owners []*member, bodyOwner *member) chan legResult {
+	trace := obs.TraceID(r.Context())
 	results := make(chan legResult, len(owners))
-	launched := 0
 	for _, m := range owners {
 		if !m.Alive() {
-			// A known-dead owner cannot contribute to quorum; fail its
-			// leg instantly instead of burning ShardTimeout on it.
 			results <- legResult{m: m, errMsg: "node down"}
-			launched++
 			continue
 		}
 		// Child spans are started sequentially here (the parent span is
@@ -1033,11 +1091,10 @@ func (rt *Router) handleTileGet(w http.ResponseWriter, r *http.Request, span *ob
 		leg := span.StartChild("shard.read")
 		leg.SetAttr("node", m.node.Name)
 		rt.stats.shardRouted.With(m.node.Name).Inc()
-		launched++
 		go func(m *member, leg *obs.Span) {
 			ctx, cancel := rt.legContext(r.Context())
 			defer cancel()
-			res := rt.shardGet(ctx, trace, leg, m, key)
+			res := rt.shardRead(ctx, trace, leg, m, key, m == bodyOwner)
 			if res.errMsg != "" {
 				leg.Fail(res.errMsg)
 			}
@@ -1045,59 +1102,87 @@ func (rt *Router) handleTileGet(w http.ResponseWriter, r *http.Request, span *ob
 			results <- res
 		}(m, leg)
 	}
+	return results
+}
 
-	var all []legResult
-	answers := 0
-	var winner *legResult
-	responded := false
-	for len(all) < launched {
-		res := <-results
-		all = append(all, res)
-		if res.ok {
-			answers++
-			if (res.found || res.tomb) && (winner == nil ||
-				storage.FresherState(res.tomb, res.clock, res.data, winner.tomb, winner.clock, winner.data)) {
-				cp := res
-				winner = &cp
-			}
+// answered counts the legs that gave a definitive answer.
+func answered(legs []legResult) (n int) {
+	for i := range legs {
+		if legs[i].ok {
+			n++
 		}
-		if !responded && answers >= need {
-			responded = true
-			if winner != nil && winner.found {
-				w.Header().Set("Content-Type", "application/octet-stream")
-				w.Header().Set(storage.ChecksumHeader, winner.sum)
-				_, _ = w.Write(winner.data)
-			} else {
-				// Absent and tombstoned both read as 404 to clients; the
-				// marker is cluster machinery, not payload.
-				rt.writeJSONErrorRaw(w, http.StatusNotFound, "tile not found")
-			}
-			rt.stats.served.Inc()
-			// Remaining legs finish in the background purely to feed
-			// read-repair; the client is already answered.
-			remaining := launched - len(all)
-			if remaining > 0 {
-				snapshot := make([]legResult, len(all))
-				copy(snapshot, all)
-				if rt.goBG(func() { rt.finishRead(key, results, snapshot, remaining) }) {
-					return
+	}
+	return n
+}
+
+// winnerOf picks the freshest present state among the legs that
+// answered; nil when none holds anything. States order by
+// ReplicaState.Compare; two the states cannot order (same kind and
+// clock, different checksum) are ordered by their bytes, as FresherState
+// does, which costs the bodies not yet in hand. With needBody a live
+// winner known only by state gets its body read too. A leg whose body
+// is read is replaced by that answer — its replica may have moved on or
+// gone — and the scan starts over; every restart follows a leg gaining
+// bytes or dropping out, so it ends.
+func (rt *Router) winnerOf(trace string, span *obs.Span, key storage.TileKey, legs []legResult, needBody bool) *legResult {
+scan:
+	var win *legResult
+	for i := range legs {
+		l := &legs[i]
+		if !l.ok || !l.st.Present() {
+			continue
+		}
+		if win == nil {
+			win = l
+			continue
+		}
+		c, ordered := l.st.Compare(win.st)
+		if !ordered {
+			for _, u := range []*legResult{l, win} {
+				if u.data == nil {
+					rt.fill(trace, span, key, u, legs)
+					goto scan
 				}
 			}
-			break
+			c = bytes.Compare(l.data, win.data)
+		}
+		if c > 0 {
+			win = l
 		}
 	}
-	if !responded {
-		rt.stats.quorumFailures.Inc()
-		span.Fail("read quorum failed")
-		rt.shed(w, span, fmt.Sprintf("read quorum failed: %d/%d answers", answers, need))
+	if needBody && win != nil && win.st.Found && win.data == nil {
+		rt.fill(trace, span, key, win, legs)
+		goto scan
 	}
-	rt.scheduleRepairs(key, all)
+	return win
+}
+
+// fill gives l the payload its state names: borrowed from a leg that
+// reported the identical state, else read from l's own replica, whose
+// answer then replaces *l.
+func (rt *Router) fill(trace string, span *obs.Span, key storage.TileKey, l *legResult, legs []legResult) {
+	for i := range legs {
+		if o := &legs[i]; o.ok && o.data != nil && o.st == l.st {
+			l.data = o.data
+			return
+		}
+	}
+	leg := span.StartChild("shard.read")
+	leg.SetAttr("node", l.m.node.Name)
+	rt.stats.shardRouted.With(l.m.node.Name).Inc()
+	ctx, cancel := rt.legContext(context.Background())
+	*l = rt.shardRead(ctx, trace, leg, l.m, key, true)
+	cancel()
+	if l.errMsg != "" {
+		leg.Fail(l.errMsg)
+	}
+	leg.End()
 }
 
 // finishRead drains the leftover legs of an already-answered read and
 // feeds the full result set to read-repair, using the freshest replica
 // seen anywhere (which may be newer than the one served).
-func (rt *Router) finishRead(key storage.TileKey, results chan legResult, all []legResult, remaining int) {
+func (rt *Router) finishRead(trace string, key storage.TileKey, results chan legResult, all []legResult, remaining int) {
 	for i := 0; i < remaining; i++ {
 		select {
 		case res := <-results:
@@ -1106,59 +1191,30 @@ func (rt *Router) finishRead(key storage.TileKey, results chan legResult, all []
 			return
 		}
 	}
-	rt.scheduleRepairs(key, all)
+	rt.scheduleRepairs(trace, key, all)
 }
 
-// scheduleRepairs compares every leg against the winner and queues a
-// repair for each stale, missing, or damaged replica that is still
-// reachable. Unreachable replicas are the hinted-handoff path's
-// problem, not read-repair's.
-func (rt *Router) scheduleRepairs(key storage.TileKey, legs []legResult) {
-	var winner *legResult
-	for i := range legs {
-		l := &legs[i]
-		if (l.found || l.tomb) && (winner == nil ||
-			storage.FresherState(l.tomb, l.clock, l.data, winner.tomb, winner.clock, winner.data)) {
-			winner = l
-		}
-	}
-	if winner == nil {
+// scheduleRepairs compares every leg's state against the winner's and
+// queues a repair for each stale, missing, or damaged replica that is
+// still reachable. Unreachable replicas are the hinted-handoff path's
+// problem, not read-repair's. An absent replica is stale even where the
+// winner is a tombstone: markers propagate to every owner so absences
+// converge too, and GC reclaims them only once all owners hold one.
+func (rt *Router) scheduleRepairs(trace string, key storage.TileKey, legs []legResult) {
+	win := rt.winnerOf(trace, nil, key, legs, false)
+	if win == nil {
 		return
 	}
 	for i := range legs {
 		l := &legs[i]
-		if l.m == winner.m {
-			continue
-		}
-		stale := false
 		switch {
-		case l.integrity:
-			stale = true // damaged bytes: overwrite with the winner
-		case !l.ok:
-			continue // unreachable: hints cover it
-		case !l.found && !l.tomb:
-			// Absent — including absent where the winner is a tombstone:
-			// markers propagate to every owner so absences converge too,
-			// and GC reclaims them only once all owners hold one.
-			stale = true
+		case l.m == win.m, !l.ok && !l.integrity, l.ok && l.st == win.st:
+			continue // the winner; unreachable (hints cover it); identical
+		case l.ok:
 			rt.stats.staleReads.Inc()
-		case l.tomb != winner.tomb || !bytes.Equal(l.data, winner.data):
-			stale = true
-			rt.stats.staleReads.Inc()
-		}
-		if !stale {
-			continue
-		}
-		job := repairJob{
-			m: l.m, key: key, data: winner.data, sum: winner.sum,
-			clock: winner.clock, tomb: winner.tomb, expect: legExpectOf(l),
-		}
-		if l.integrity {
-			// A damaged replica's true state is unknowable; overwrite it.
-			job.expect = ""
 		}
 		select {
-		case rt.repairCh <- job:
+		case rt.repairCh <- repairJob{m: l.m, key: key, win: *win, damaged: l.integrity}:
 			rt.stats.repairsScheduled.Inc()
 		default:
 			rt.stats.repairsDropped.Inc()
@@ -1188,28 +1244,38 @@ func (rt *Router) repair(job repairJob) {
 	span.SetAttr("node", job.m.node.Name)
 	span.SetAttr("layer", job.key.Layer)
 	defer span.End()
-	cur := rt.shardGet(ctx, span.TraceID(), span, job.m, job.key)
-	if (cur.found || cur.tomb) &&
-		!storage.FresherState(job.tomb, job.clock, job.data, cur.tomb, cur.clock, cur.data) {
-		rt.stats.repairsSkipped.Inc()
-		return
-	}
+	trace := span.TraceID()
+	// A target that served damaged bytes is re-read whole: its state
+	// alone would vouch for bytes it no longer has.
+	cur, win, wins := rt.contest(ctx, trace, span, job.m, job.key, job.win, job.damaged)
 	if !cur.ok && !cur.integrity {
 		// Target unreachable — the hint path owns convergence now.
 		rt.stats.repairsSkipped.Inc()
 		span.Fail("target unreachable")
 		return
 	}
-	// The write is conditional on the state just re-read: if anything
+	if !wins {
+		rt.stats.repairsSkipped.Inc()
+		return
+	}
+	if win.data == nil {
+		// The read that queued this knew the winner only by state.
+		rt.fill(trace, span, job.key, &win, nil)
+		if !win.ok || win.st != job.win.st {
+			rt.stats.repairsSkipped.Inc() // the winner moved on; the next read re-decides
+			return
+		}
+	}
+	// The write is conditional on the state just probed: if anything
 	// lands on the replica between this check and the PUT, the shard
 	// answers 412 and the repair steps aside instead of overwriting the
 	// fresher write — the read-then-overwrite race is closed at the
 	// shard, not by hoping the queue is fast.
 	expect := ""
 	if !cur.integrity {
-		expect = legExpectOf(&cur)
+		expect = cur.st.String()
 	}
-	if err := rt.shardPut(ctx, span.TraceID(), span, job.m, job.key, job.data, job.sum, expect); err != nil {
+	if err := rt.shardPut(ctx, trace, span, job.m, job.key, win.data, win.st.Sum, expect); err != nil {
 		rt.stats.repairsSkipped.Inc()
 		if !errors.Is(err, errPrecondition) && !errors.Is(err, errSuperseded) {
 			span.Fail(err.Error())
@@ -1220,22 +1286,33 @@ func (rt *Router) repair(job repairJob) {
 	rt.stats.shardRepairs.With(job.m.node.Name).Inc()
 }
 
+// contest reads m's current state for key (its bytes too, with body)
+// and ranks cand — a state, with its bytes when in hand — against it:
+// wins is true only when cand is strictly fresher, so whoever asks
+// writes nothing the replica already has or has passed. A probed state
+// costs a body only if it ties cand's on everything but the checksum.
+// Both legs come back as ranked.
+func (rt *Router) contest(ctx context.Context, trace string, span *obs.Span, m *member, key storage.TileKey, cand legResult, body bool) (cur, win legResult, wins bool) {
+	legs := []legResult{rt.shardRead(ctx, trace, span, m, key, body), cand}
+	wins = rt.winnerOf(trace, span, key, legs, false) == &legs[1]
+	return legs[0], legs[1], wins
+}
+
 // ---- write path ------------------------------------------------------
 
 func (rt *Router) handleTilePut(w http.ResponseWriter, r *http.Request, span *obs.Span, key storage.TileKey) {
 	rt.stats.writes.Inc()
-	limit := rt.cfg.maxTileBytes()
-	data, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
+	data, err := storage.ReadBody(r.Body, r.ContentLength, rt.cfg.maxTileBytes())
+	if errors.Is(err, storage.ErrBodyTooLarge) {
+		rt.clientError(w, http.StatusRequestEntityTooLarge, "tile too large")
+		return
+	}
 	if err != nil {
 		rt.clientError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if int64(len(data)) > limit {
-		rt.clientError(w, http.StatusRequestEntityTooLarge, "tile too large")
-		return
-	}
-	sum := storage.Checksum(data)
-	if want := r.Header.Get(storage.ChecksumHeader); want != "" && want != sum {
+	sum := storage.Checksum(data) // hex once, for the leg and hint headers
+	if want := r.Header.Get(storage.ChecksumHeader); want != "" && !storage.ChecksumMatches(want, data) {
 		w.Header().Set(storage.TransientHeader, "checksum-mismatch")
 		rt.clientError(w, http.StatusBadRequest,
 			fmt.Sprintf("checksum mismatch: got %s want %s", sum, want))
@@ -1254,17 +1331,39 @@ func (rt *Router) handleTilePut(w http.ResponseWriter, r *http.Request, span *ob
 		rt.internalError(w, span, "no owners for key")
 		return
 	}
-	trace := obs.TraceID(r.Context())
 	need := rt.writeQuorum()
 	if need > len(owners) {
 		need = len(owners)
 	}
 
-	type putOutcome struct {
+	acked, hinted := rt.replicate(r, span, owners, hint{Key: key, Data: data, Clock: clock, Sum: sum})
+	span.SetAttrInt("acked", int64(acked))
+	span.SetAttrInt("hinted", int64(hinted))
+	if acked+hinted < need {
+		rt.stats.quorumFailures.Inc()
+		span.Fail("write quorum failed")
+		rt.shed(w, span, fmt.Sprintf("write quorum failed: %d acks + %d hints < %d", acked, hinted, need))
+		return
+	}
+	rt.stats.served.Inc()
+	w.WriteHeader(http.StatusNoContent)
+}
+
+// replicate writes one payload — a tile, or a deletion marker, which
+// replicates exactly like one — to every owner: live owners get a leg,
+// dead or failing ones a hint built from h. A shard's 409 acks too: it
+// ordered the write below fresher state it holds — accepted-and-
+// immediately-superseded is a completed write under last-writer-wins,
+// not a failure. Sloppy quorum: a durably parked hint is a promise the
+// write will reach its owner, so callers count hinted toward the write
+// quorum — this is what keeps writes available while a replica is dead.
+func (rt *Router) replicate(r *http.Request, span *obs.Span, owners []*member, h hint) (acked, hinted int) {
+	trace := obs.TraceID(r.Context())
+	type outcome struct {
 		m   *member
 		err error
 	}
-	results := make(chan putOutcome, len(owners))
+	results := make(chan outcome, len(owners))
 	inflight := 0
 	var toHint []*member
 	for _, m := range owners {
@@ -1279,46 +1378,29 @@ func (rt *Router) handleTilePut(w http.ResponseWriter, r *http.Request, span *ob
 		go func(m *member, leg *obs.Span) {
 			ctx, cancel := rt.legContext(r.Context())
 			defer cancel()
-			err := rt.shardPut(ctx, trace, leg, m, key, data, sum, "")
+			err := rt.shardPut(ctx, trace, leg, m, h.Key, h.Data, h.Sum, "")
 			if err != nil {
 				leg.Fail(err.Error())
 			}
 			leg.End()
-			results <- putOutcome{m: m, err: err}
+			results <- outcome{m: m, err: err}
 		}(m, leg)
 	}
-	acked := 0
 	for i := 0; i < inflight; i++ {
-		out := <-results
-		// errSuperseded acks too: the shard ordered the write below a
-		// tombstone it holds — accepted-and-immediately-superseded is a
-		// completed write under last-writer-wins, not a failure.
-		if out.err == nil || errors.Is(out.err, errSuperseded) {
+		if out := <-results; out.err == nil || errors.Is(out.err, errSuperseded) {
 			acked++
 		} else {
 			toHint = append(toHint, out.m)
 		}
 	}
-	hinted := 0
 	for _, m := range toHint {
-		h := &hint{Target: m.node.Name, Key: key, Data: data, Clock: clock, Sum: sum}
-		if rt.queueHint(r.Context(), trace, span, h, owners) {
+		hc := h
+		hc.Target = m.node.Name
+		if rt.queueHint(r.Context(), trace, span, &hc, owners) {
 			hinted++
 		}
 	}
-	span.SetAttrInt("acked", int64(acked))
-	span.SetAttrInt("hinted", int64(hinted))
-	// Sloppy quorum: a durably parked hint is a promise the write will
-	// reach its owner, so it counts toward the write quorum — this is
-	// what keeps writes available while a replica is dead.
-	if acked+hinted < need {
-		rt.stats.quorumFailures.Inc()
-		span.Fail("write quorum failed")
-		rt.shed(w, span, fmt.Sprintf("write quorum failed: %d acks + %d hints < %d", acked, hinted, need))
-		return
-	}
-	rt.stats.served.Inc()
-	w.WriteHeader(http.StatusNoContent)
+	return acked, hinted
 }
 
 // handleTileDelete makes a delete as durable as a write: instead of
@@ -1335,7 +1417,6 @@ func (rt *Router) handleTileDelete(w http.ResponseWriter, r *http.Request, span 
 		rt.internalError(w, span, "no owners for key")
 		return
 	}
-	trace := obs.TraceID(r.Context())
 	need := rt.writeQuorum()
 	if need > len(owners) {
 		need = len(owners)
@@ -1343,36 +1424,13 @@ func (rt *Router) handleTileDelete(w http.ResponseWriter, r *http.Request, span 
 
 	// Phase 1: observe the highest clock among reachable owners, so the
 	// marker is stamped above everything the delete must erase.
-	clockCh := make(chan legResult, len(owners))
-	probes := 0
-	for _, m := range owners {
-		if !m.Alive() {
-			continue
-		}
-		leg := span.StartChild("shard.read")
-		leg.SetAttr("node", m.node.Name)
-		probes++
-		go func(m *member, leg *obs.Span) {
-			ctx, cancel := rt.legContext(r.Context())
-			defer cancel()
-			res := rt.shardGet(ctx, trace, leg, m, key)
-			if res.errMsg != "" {
-				leg.Fail(res.errMsg)
-			}
-			leg.End()
-			clockCh <- res
-		}(m, leg)
-	}
+	clockCh := rt.readLegs(r, span, key, owners, nil)
 	var maxClock uint64
 	okProbes := 0
-	for i := 0; i < probes; i++ {
-		res := <-clockCh
-		if !res.ok {
-			continue
-		}
-		okProbes++
-		if (res.found || res.tomb) && res.clock > maxClock {
-			maxClock = res.clock
+	for range owners {
+		if res := <-clockCh; res.ok {
+			okProbes++
+			maxClock = max(maxClock, res.st.Clock)
 		}
 	}
 	// The marker's clock is only trustworthy if a read quorum answered
@@ -1386,8 +1444,8 @@ func (rt *Router) handleTileDelete(w http.ResponseWriter, r *http.Request, span 
 	if okProbes < probeNeed {
 		rt.stats.quorumFailures.Inc()
 		span.Fail("delete probe quorum failed")
-		rt.shed(w, span, fmt.Sprintf("delete probe quorum failed: %d definitive answers from %d probes, need %d",
-			okProbes, probes, probeNeed))
+		rt.shed(w, span, fmt.Sprintf("delete probe quorum failed: %d definitive answers from %d owners, need %d",
+			okProbes, len(owners), probeNeed))
 		return
 	}
 
@@ -1399,56 +1457,11 @@ func (rt *Router) handleTileDelete(w http.ResponseWriter, r *http.Request, span 
 	}
 	// Built once: every owner receives byte-identical marker bytes.
 	marker := storage.EncodeTombstone(ts)
-	sum := storage.Checksum(marker)
 
-	// Phase 2: replicate the marker exactly like a write, with sloppy
-	// quorum and durable hints for unreachable owners.
-	type delOutcome struct {
-		m   *member
-		err error
-	}
-	results := make(chan delOutcome, len(owners))
-	inflight := 0
-	var toHint []*member
-	for _, m := range owners {
-		if !m.Alive() {
-			toHint = append(toHint, m)
-			continue
-		}
-		leg := span.StartChild("shard.write")
-		leg.SetAttr("node", m.node.Name)
-		rt.stats.shardRouted.With(m.node.Name).Inc()
-		inflight++
-		go func(m *member, leg *obs.Span) {
-			ctx, cancel := rt.legContext(r.Context())
-			defer cancel()
-			err := rt.shardPut(ctx, trace, leg, m, key, marker, sum, "")
-			if err != nil {
-				leg.Fail(err.Error())
-			}
-			leg.End()
-			results <- delOutcome{m: m, err: err}
-		}(m, leg)
-	}
-	acked := 0
-	for i := 0; i < inflight; i++ {
-		out := <-results
-		if out.err == nil || errors.Is(out.err, errSuperseded) {
-			// 409 means a write newer than phase 1 observed landed in
-			// between; the delete is ordered before it and erased nothing
-			// — still a completed delete under last-writer-wins.
-			acked++
-		} else {
-			toHint = append(toHint, out.m)
-		}
-	}
-	hinted := 0
-	for _, m := range toHint {
-		h := &hint{Target: m.node.Name, Key: key, Data: marker, Tomb: true, Clock: ts.Clock, Sum: sum}
-		if rt.queueHint(r.Context(), trace, span, h, owners) {
-			hinted++
-		}
-	}
+	// Phase 2: replicate the marker exactly like a write. A 409 here means
+	// a write newer than phase 1 observed landed in between; the delete is
+	// ordered before it and erased nothing — still a completed delete.
+	acked, hinted := rt.replicate(r, span, owners, hint{Key: key, Data: marker, Tomb: true, Clock: ts.Clock, Sum: storage.Checksum(marker)})
 	if acked+hinted < need {
 		rt.stats.quorumFailures.Inc()
 		span.Fail("delete quorum failed")
@@ -1586,12 +1599,13 @@ func (rt *Router) replayHint(m *member, h *hint) error {
 			return err
 		}
 	} else {
-		cur := rt.shardGet(ctx, trace, span, m, h.Key)
+		cur, _, wins := rt.contest(ctx, trace, span, m, h.Key, legResult{
+			ok: true, st: storage.ReplicaState{Found: true, Clock: h.Clock, Sum: h.Sum}, data: h.Data}, false)
 		if !cur.ok && !cur.integrity {
 			span.Fail(cur.errMsg)
 			return errors.New(cur.errMsg)
 		}
-		if (!cur.found && !cur.tomb) || storage.FresherState(false, h.Clock, h.Data, cur.tomb, cur.clock, cur.data) {
+		if wins {
 			if err := rt.shardPut(ctx, trace, span, m, h.Key, h.Data, h.Sum, ""); err != nil && !errors.Is(err, errSuperseded) {
 				span.Fail(err.Error())
 				return err
@@ -1682,13 +1696,13 @@ func (rt *Router) recoverDurableHints() {
 				leg := span.StartChild("shard.read")
 				leg.SetAttr("node", fb.node.Name)
 				lctx, lcancel := rt.legContext(ctx)
-				res := rt.shardGet(lctx, trace, leg, fb, hk)
+				res := rt.shardRead(lctx, trace, leg, fb, hk, true)
 				lcancel()
 				if res.errMsg != "" {
 					leg.Fail(res.errMsg)
 				}
 				leg.End()
-				if !res.ok || (!res.found && !res.tomb) {
+				if !res.ok || !res.st.Present() {
 					continue
 				}
 				h := &hint{
@@ -1696,9 +1710,9 @@ func (rt *Router) recoverDurableHints() {
 					Fallback: fb.node.Name,
 					Key:      storage.TileKey{Layer: origLayer, TX: e.TX, TY: e.TY},
 					Data:     res.data,
-					Tomb:     res.tomb,
-					Clock:    res.clock,
-					Sum:      res.sum,
+					Tomb:     res.st.Tomb,
+					Clock:    res.st.Clock,
+					Sum:      res.st.Sum,
 				}
 				if rt.hints.restore(h) == hintAdded {
 					rt.stats.hintsQueued.Inc()
@@ -1716,80 +1730,12 @@ func (rt *Router) recoverDurableHints() {
 
 // ---- merged listings -------------------------------------------------
 
-// handleLayers merges /v1/layers across all live nodes, hiding
-// cluster-internal hint layers. One reachable node suffices; zero is a
-// shed.
-func (rt *Router) handleLayers(w http.ResponseWriter, r *http.Request, span *obs.Span) {
-	rt.stats.reads.Inc()
+// gather fetches one JSON list endpoint from every live node and returns
+// the lists of the nodes that answered — none means no node is reachable.
+func gather[T any](rt *Router, r *http.Request, span *obs.Span, op, path string) (lists [][]T) {
 	trace := obs.TraceID(r.Context())
-	type layersOut struct {
-		layers []string
-		err    error
-	}
-	ms := rt.memberList()
-	results := make(chan layersOut, len(ms))
-	inflight := 0
-	for _, m := range ms {
-		if !m.Alive() {
-			continue
-		}
-		leg := span.StartChild("shard.layers")
-		leg.SetAttr("node", m.node.Name)
-		inflight++
-		go func(m *member, leg *obs.Span) {
-			ctx, cancel := rt.legContext(r.Context())
-			defer cancel()
-			var out []string
-			err := rt.shardJSON(ctx, trace, leg, m, "/v1/layers", &out)
-			if err != nil {
-				leg.Fail(err.Error())
-			}
-			leg.End()
-			results <- layersOut{layers: out, err: err}
-		}(m, leg)
-	}
-	seen := map[string]bool{}
-	okCount := 0
-	for i := 0; i < inflight; i++ {
-		res := <-results
-		if res.err != nil {
-			continue
-		}
-		okCount++
-		for _, l := range res.layers {
-			if !storage.IsInternalLayer(l) {
-				seen[l] = true
-			}
-		}
-	}
-	if okCount == 0 {
-		span.Fail("no node answered layers")
-		rt.shed(w, span, "no node reachable")
-		return
-	}
-	merged := make([]string, 0, len(seen))
-	for l := range seen {
-		merged = append(merged, l)
-	}
-	sort.Strings(merged)
-	rt.stats.served.Inc()
-	rt.writeJSON(w, merged)
-}
-
-// handleList merges a layer's tile listing across all live nodes.
-func (rt *Router) handleList(w http.ResponseWriter, r *http.Request, span *obs.Span, layer string) {
-	rt.stats.reads.Inc()
-	if storage.IsInternalLayer(layer) {
-		rt.clientError(w, http.StatusNotFound, "not found")
-		return
-	}
-	trace := obs.TraceID(r.Context())
-	type entry struct {
-		TX int32 `json:"tx"`
-		TY int32 `json:"ty"`
-	}
 	type listOut struct {
-		keys []entry
+		list []T
 		err  error
 	}
 	ms := rt.memberList()
@@ -1799,41 +1745,91 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request, span *obs.S
 		if !m.Alive() {
 			continue
 		}
-		leg := span.StartChild("shard.list")
+		leg := span.StartChild(op)
 		leg.SetAttr("node", m.node.Name)
 		inflight++
 		go func(m *member, leg *obs.Span) {
 			ctx, cancel := rt.legContext(r.Context())
 			defer cancel()
-			var out []entry
-			err := rt.shardJSON(ctx, trace, leg, m, "/v1/tiles/"+url.PathEscape(layer), &out)
+			var out []T
+			err := rt.shardJSON(ctx, trace, leg, m, path, &out)
 			if err != nil {
 				leg.Fail(err.Error())
 			}
 			leg.End()
-			results <- listOut{keys: out, err: err}
+			results <- listOut{list: out, err: err}
 		}(m, leg)
 	}
-	seen := map[entry]bool{}
-	okCount := 0
 	for i := 0; i < inflight; i++ {
-		res := <-results
-		if res.err != nil {
-			continue
-		}
-		okCount++
-		for _, e := range res.keys {
-			seen[e] = true
+		if res := <-results; res.err == nil {
+			lists = append(lists, res.list)
 		}
 	}
-	if okCount == 0 {
+	return lists
+}
+
+// handleLayers merges /v1/layers across all live nodes, hiding
+// cluster-internal hint layers. One reachable node suffices; zero is a
+// shed.
+func (rt *Router) handleLayers(w http.ResponseWriter, r *http.Request, span *obs.Span) {
+	rt.stats.reads.Inc()
+	lists := gather[string](rt, r, span, "shard.layers", "/v1/layers")
+	if len(lists) == 0 {
+		span.Fail("no node answered layers")
+		rt.shed(w, span, "no node reachable")
+		return
+	}
+	seen := map[string]bool{}
+	merged := []string{}
+	for _, list := range lists {
+		for _, l := range list {
+			if !storage.IsInternalLayer(l) && !seen[l] {
+				seen[l] = true
+				merged = append(merged, l)
+			}
+		}
+	}
+	sort.Strings(merged)
+	rt.stats.served.Inc()
+	rt.writeJSON(w, merged)
+}
+
+// handleList merges a layer's tile listing across all live nodes; a
+// bbox window is validated here and filtered at the shards.
+func (rt *Router) handleList(w http.ResponseWriter, r *http.Request, span *obs.Span, layer string) {
+	rt.stats.reads.Inc()
+	if storage.IsInternalLayer(layer) {
+		rt.clientError(w, http.StatusNotFound, "not found")
+		return
+	}
+	path := "/v1/tiles/" + url.PathEscape(layer)
+	if v := r.URL.Query().Get("bbox"); v != "" {
+		win, err := storage.ParseTileWindow(v)
+		if err != nil {
+			rt.clientError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		path += "?bbox=" + win.String()
+	}
+	type entry struct {
+		TX int32 `json:"tx"`
+		TY int32 `json:"ty"`
+	}
+	lists := gather[entry](rt, r, span, "shard.list", path)
+	if len(lists) == 0 {
 		span.Fail("no node answered list")
 		rt.shed(w, span, "no node reachable")
 		return
 	}
-	merged := make([]entry, 0, len(seen))
-	for e := range seen {
-		merged = append(merged, e)
+	seen := map[entry]bool{}
+	merged := []entry{}
+	for _, list := range lists {
+		for _, e := range list {
+			if !seen[e] {
+				seen[e] = true
+				merged = append(merged, e)
+			}
+		}
 	}
 	sort.Slice(merged, func(i, j int) bool {
 		if merged[i].TX != merged[j].TX {

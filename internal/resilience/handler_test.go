@@ -123,6 +123,45 @@ func TestHandlerCacheReadThrough(t *testing.T) {
 	checkInvariant(t, h)
 }
 
+// TestHandlerProbesNotCached: a HEAD on a tile path is a cluster
+// router's replica probe. It must reach the tile server every time — a
+// cached or coalesced answer could report a state the replica has left —
+// and must neither be served from nor fill the tile's GET cache entry.
+func TestHandlerProbesNotCached(t *testing.T) {
+	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("X-Tile-State", "live:7:0badcafe")
+		if r.Method == http.MethodGet {
+			_, _ = w.Write([]byte("tile-bytes"))
+		}
+	})
+	var calls atomic.Int64
+	h := NewHandler(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		inner.ServeHTTP(w, r)
+	}), Config{})
+	path := "/v1/tiles/base/1/2"
+	get(t, h, path, nil) // the GET entry is cached now
+	for i := 0; i < 3; i++ {
+		req := httptest.NewRequest(http.MethodHead, path, nil)
+		req.RemoteAddr = "192.0.2.1:1234"
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != http.StatusOK || w.Body.Len() != 0 || w.Header().Get("X-Tile-State") != "live:7:0badcafe" {
+			t.Fatalf("probe %d: %d, %d-byte body, state %q", i, w.Code, w.Body.Len(), w.Header().Get("X-Tile-State"))
+		}
+	}
+	if w := get(t, h, path, nil); w.Body.String() != "tile-bytes" {
+		t.Fatalf("GET after probes: %q", w.Body.String())
+	}
+	if got := calls.Load(); got != 4 { // 1 GET + 3 probes; the last GET is a cache hit
+		t.Fatalf("inner calls = %d, want 4", got)
+	}
+	if s := h.Stats(); s.CacheHits != 1 || s.Coalesced != 0 {
+		t.Errorf("cache hits %d coalesced %d, want 1 and 0", s.CacheHits, s.Coalesced)
+	}
+	checkInvariant(t, h)
+}
+
 func TestHandlerListResponsesNotCached(t *testing.T) {
 	inner := &gatedHandler{body: "[]"}
 	h := NewHandler(inner, Config{})

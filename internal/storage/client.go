@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -405,28 +404,19 @@ func classifyStatus(op string, resp *http.Response) error {
 // tile server's own default upload ceiling.
 const maxBodyBytes = 16 << 20
 
-// errBodyTooLarge rejects a response body over maxBodyBytes. It is not
-// transient: a server streaming without end will do so again.
-var errBodyTooLarge = errors.New("storage: response body too large")
-
-// readBody reads a response body up to maxBodyBytes, into a buffer
-// sized from Content-Length when the server sent a believable one. A
-// read failure is transient; an over-limit body is an integrity
-// failure and is not.
+// readBody reads a response body up to maxBodyBytes (ReadBody). A read
+// failure is transient; an over-limit body is an integrity failure and
+// is not.
 func (c *Client) readBody(resp *http.Response) ([]byte, error) {
-	var buf bytes.Buffer
-	if n := resp.ContentLength; n > 0 && n <= maxBodyBytes {
-		// MinRead of slack lets ReadFrom see EOF without growing.
-		buf.Grow(int(n) + bytes.MinRead)
+	data, err := ReadBody(resp.Body, resp.ContentLength, maxBodyBytes)
+	if errors.Is(err, ErrBodyTooLarge) {
+		c.metrics().integrityFailures.Inc()
+		return nil, err
 	}
-	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxBodyBytes+1)); err != nil {
+	if err != nil {
 		return nil, transient(err)
 	}
-	if buf.Len() > maxBodyBytes {
-		c.metrics().integrityFailures.Inc()
-		return nil, errBodyTooLarge
-	}
-	return buf.Bytes(), nil
+	return data, nil
 }
 
 // getJSON fetches a server path and decodes its JSON body with
@@ -454,7 +444,7 @@ func (c *Client) getJSON(ctx context.Context, budget *int, op, path string, out 
 		}
 		// Metadata is integrity-checked like tiles: a bit flip in the
 		// tile list could silently shrink the vehicle's map.
-		if want := resp.Header.Get(ChecksumHeader); want != "" && !checksumMatches(want, data) {
+		if want := resp.Header.Get(ChecksumHeader); want != "" && !ChecksumMatches(want, data) {
 			c.metrics().integrityFailures.Inc()
 			return transient(fmt.Errorf("storage client: %s: %w", op, ErrChecksum))
 		}
@@ -532,7 +522,7 @@ func (c *Client) getTile(ctx context.Context, budget *int, key TileKey) ([]byte,
 		// Verify payload integrity against the server's checksum; a
 		// mismatch is wire corruption, so retry rather than hand a
 		// silently wrong map to the planner.
-		if want := resp.Header.Get(ChecksumHeader); want != "" && !checksumMatches(want, body) {
+		if want := resp.Header.Get(ChecksumHeader); want != "" && !ChecksumMatches(want, body) {
 			c.metrics().integrityFailures.Inc()
 			return transient(fmt.Errorf("%v: %w", key, ErrChecksum))
 		}
@@ -657,13 +647,16 @@ func (c *Client) FetchRegion(ctx context.Context, layer string, tx0, ty0, tx1, t
 		TY int32 `json:"ty"`
 	}
 	keys := make([]TileKey, 0)
-	err := c.getJSON(ctx, &budget, "list tiles", "/v1/tiles/"+layer, &listed)
+	// The server is asked for the window only; the filter below stays,
+	// so a server that ignores bbox (an older build) still yields the
+	// right region.
+	win := TileWindow{TX0: tx0, TY0: ty0, TX1: tx1, TY1: ty1}
+	err := c.getJSON(ctx, &budget, "list tiles", "/v1/tiles/"+layer+"?bbox="+win.String(), &listed)
 	if err == nil {
 		for _, k := range listed {
-			if k.TX < tx0 || k.TX > tx1 || k.TY < ty0 || k.TY > ty1 {
-				continue
+			if win.Contains(k.TX, k.TY) {
+				keys = append(keys, TileKey{Layer: layer, TX: k.TX, TY: k.TY})
 			}
-			keys = append(keys, TileKey{Layer: layer, TX: k.TX, TY: k.TY})
 		}
 	} else {
 		if ctx.Err() != nil || c.Cache == nil {
@@ -673,10 +666,9 @@ func (c *Client) FetchRegion(ctx context.Context, layer string, tx0, ty0, tx1, t
 		health.Degraded = true
 		health.addError(err)
 		for _, k := range c.Cache.Keys(layer) {
-			if k.TX < tx0 || k.TX > tx1 || k.TY < ty0 || k.TY > ty1 {
-				continue
+			if win.Contains(k.TX, k.TY) {
+				keys = append(keys, k)
 			}
-			keys = append(keys, k)
 		}
 	}
 	health.Requested = len(keys)

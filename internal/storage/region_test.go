@@ -190,7 +190,7 @@ func TestClientBoundsBodyReads(t *testing.T) {
 	} {
 		reg := obs.NewRegistry()
 		c := &Client{Base: srv.URL, Metrics: reg}
-		if err := call(c); !errors.Is(err, errBodyTooLarge) {
+		if err := call(c); !errors.Is(err, ErrBodyTooLarge) {
 			t.Fatalf("%s: endless body: %v", name, err)
 		}
 		if n := reg.Counter("storage.client.attempts").Value(); n != 1 {
@@ -206,11 +206,11 @@ func TestClientBoundsBodyReads(t *testing.T) {
 // formats and treats anything unparseable as a mismatch.
 func TestChecksumMatches(t *testing.T) {
 	data := []byte("tile payload")
-	if !checksumMatches(Checksum(data), data) {
+	if !ChecksumMatches(Checksum(data), data) {
 		t.Fatal("own checksum does not match")
 	}
 	for _, h := range []string{"", "zzzzzzzz", "0x12345678", "123456789", "-1", Checksum([]byte("other"))} {
-		if checksumMatches(h, data) {
+		if ChecksumMatches(h, data) {
 			t.Errorf("header %q matches", h)
 		}
 	}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -35,12 +36,37 @@ func Checksum(data []byte) string {
 	return fmt.Sprintf("%08x", crc32.Checksum(data, castagnoli))
 }
 
-// checksumMatches reports whether data has the checksum a
+// ChecksumMatches reports whether data has the checksum a
 // ChecksumHeader value names; a malformed value matches nothing. The
 // comparison is numeric, so verifying formats no string.
-func checksumMatches(header string, data []byte) bool {
+func ChecksumMatches(header string, data []byte) bool {
 	want, err := strconv.ParseUint(header, 16, 32)
 	return err == nil && uint32(want) == crc32.Checksum(data, castagnoli)
+}
+
+// ErrBodyTooLarge rejects a request or response body over the reader's
+// limit. It is not transient: a peer streaming without end will do so
+// again.
+var ErrBodyTooLarge = errors.New("storage: body too large")
+
+// ReadBody reads an HTTP body of at most limit bytes — the one bounded
+// body reader of the tile protocol. The buffer is sized once from
+// contentLength when the peer sent a believable one, so a tile is not
+// re-grown from 512 bytes up. Read failures come back bare; a body over
+// the limit is ErrBodyTooLarge, never a silent truncation.
+func ReadBody(body io.Reader, contentLength, limit int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if contentLength > 0 && contentLength <= limit {
+		// MinRead of slack lets ReadFrom see EOF without growing.
+		buf.Grow(int(contentLength) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(io.LimitReader(body, limit+1)); err != nil {
+		return nil, err
+	}
+	if int64(buf.Len()) > limit {
+		return nil, ErrBodyTooLarge
+	}
+	return buf.Bytes(), nil
 }
 
 // TileServer exposes a TileStore over HTTP — the central map-distribution
@@ -51,7 +77,11 @@ func checksumMatches(header string, data []byte) bool {
 //
 //	GET    /v1/layers                    -> ["base", "crowd-signs", ...]
 //	GET    /v1/tiles/{layer}             -> [{"tx":..,"ty":..}, ...]
+//	GET    /v1/tiles/{layer}?bbox=tx0,ty0,tx1,ty1
+//	                                     -> the same, only keys inside
+//	                                        the inclusive tile window
 //	GET    /v1/tiles/{layer}/{tx}/{ty}   -> tile bytes (binary map)
+//	HEAD   /v1/tiles/{layer}/{tx}/{ty}   -> StateHeader, no body
 //	PUT    /v1/tiles/{layer}/{tx}/{ty}   <- tile bytes
 //	DELETE /v1/tiles/{layer}/{tx}/{ty}
 //
@@ -165,7 +195,7 @@ func (s *TileServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			writeJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
 			return
 		}
-		s.handleList(w, parts[2])
+		s.handleList(w, r, parts[2])
 	case len(parts) == 3 && parts[0] == "v1" && parts[1] == "digest":
 		if r.Method != http.MethodGet {
 			writeJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
@@ -181,6 +211,8 @@ func (s *TileServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		switch r.Method {
 		case http.MethodGet:
 			s.handleGet(w, key)
+		case http.MethodHead:
+			s.handleHead(w, key)
 		case http.MethodPut:
 			s.handlePut(w, r, key)
 		case http.MethodDelete:
@@ -222,7 +254,51 @@ func (s *TileServer) handleLayers(w http.ResponseWriter) {
 	writeJSON(w, layers)
 }
 
-func (s *TileServer) handleList(w http.ResponseWriter, layer string) {
+// TileWindow is an inclusive rectangle of tile coordinates — the bbox
+// query of a layer listing.
+type TileWindow struct{ TX0, TY0, TX1, TY1 int32 }
+
+// Contains reports whether tile (tx, ty) lies in the window.
+func (b TileWindow) Contains(tx, ty int32) bool {
+	return tx >= b.TX0 && tx <= b.TX1 && ty >= b.TY0 && ty <= b.TY1
+}
+
+// String renders the window as a bbox query value.
+func (b TileWindow) String() string {
+	return fmt.Sprintf("%d,%d,%d,%d", b.TX0, b.TY0, b.TX1, b.TY1)
+}
+
+// ParseTileWindow parses a bbox query value "tx0,ty0,tx1,ty1".
+func ParseTileWindow(v string) (TileWindow, error) {
+	var c [4]int32
+	parts := strings.Split(v, ",")
+	if len(parts) != len(c) {
+		return TileWindow{}, fmt.Errorf("bad bbox %q: want tx0,ty0,tx1,ty1", v)
+	}
+	for i, p := range parts {
+		n, err := strconv.ParseInt(p, 10, 32)
+		if err != nil {
+			return TileWindow{}, fmt.Errorf("bad bbox %q: %w", v, err)
+		}
+		c[i] = int32(n)
+	}
+	return TileWindow{TX0: c[0], TY0: c[1], TX1: c[2], TY1: c[3]}, nil
+}
+
+// handleList lists a layer's keys; a bbox query keeps only the keys in
+// that window, so a region pull moves the nine entries it wants and not
+// the layer. The filter runs here over store.Keys rather than in the
+// store: TileStore stays five methods.
+func (s *TileServer) handleList(w http.ResponseWriter, r *http.Request, layer string) {
+	var win *TileWindow
+	if v := r.URL.Query().Get("bbox"); v != "" {
+		b, err := ParseTileWindow(v)
+		if err != nil {
+			writeJSONError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		win = &b
+	}
 	s.mu.RLock()
 	keys, err := s.store.Keys(layer)
 	s.mu.RUnlock()
@@ -234,11 +310,40 @@ func (s *TileServer) handleList(w http.ResponseWriter, layer string) {
 		TX int32 `json:"tx"`
 		TY int32 `json:"ty"`
 	}
-	out := make([]entry, len(keys))
-	for i, k := range keys {
-		out[i] = entry{TX: k.TX, TY: k.TY}
+	out := make([]entry, 0, len(keys))
+	for _, k := range keys {
+		if win == nil || win.Contains(k.TX, k.TY) {
+			out = append(out, entry{TX: k.TX, TY: k.TY})
+		}
 	}
 	writeJSON(w, out)
+}
+
+// handleHead answers a replica probe: the key's state in StateHeader
+// (with the write-time checksum, and the deletion clock for a marker)
+// and no body — what a cluster router compares across owners in place
+// of R tile bodies. The state is the write-time one the digests also
+// report, read under mu from sums/clocks/tombs; only a key those do not
+// know (absent, or loaded out of band) costs a store read.
+func (s *TileServer) handleHead(w http.ResponseWriter, key TileKey) {
+	s.mu.RLock()
+	st, known := s.cachedStateLocked(key)
+	s.mu.RUnlock()
+	if !known {
+		s.mu.Lock()
+		st, _ = s.stateLocked(key)
+		s.mu.Unlock()
+	}
+	w.Header().Set(StateHeader, st.String())
+	if st.Sum != "" {
+		w.Header().Set(ChecksumHeader, st.Sum)
+	}
+	if st.Tomb {
+		w.Header().Set(TombstoneHeader, strconv.FormatUint(st.Clock, 10))
+	}
+	if !st.Found {
+		w.WriteHeader(http.StatusNotFound)
+	}
 }
 
 func (s *TileServer) handleGet(w http.ResponseWriter, key TileKey) {
@@ -256,6 +361,7 @@ func (s *TileServer) handleGet(w http.ResponseWriter, key TileKey) {
 			w.Header().Set("Content-Type", "application/octet-stream")
 			w.Header().Set(ChecksumHeader, tr.sum)
 			w.Header().Set(TombstoneHeader, strconv.FormatUint(tr.ts.Clock, 10))
+			w.Header().Set("Content-Length", strconv.Itoa(len(tr.data)))
 			w.WriteHeader(http.StatusNotFound)
 			_, _ = w.Write(tr.data)
 			return
@@ -274,6 +380,9 @@ func (s *TileServer) handleGet(w http.ResponseWriter, key TileKey) {
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(ChecksumHeader, sum)
+	// An explicit length keeps a socket from chunking the tile, so the
+	// reader (ReadBody) can size its buffer once.
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	_, _ = w.Write(data)
 }
 
@@ -282,19 +391,19 @@ func (s *TileServer) handlePut(w http.ResponseWriter, r *http.Request, key TileK
 	if limit <= 0 {
 		limit = 16 << 20
 	}
-	data, err := io.ReadAll(io.LimitReader(r.Body, limit+1))
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err.Error())
+	data, err := ReadBody(r.Body, r.ContentLength, limit)
+	if errors.Is(err, ErrBodyTooLarge) {
+		writeJSONError(w, http.StatusRequestEntityTooLarge, "tile too large")
 		return
 	}
-	if int64(len(data)) > limit {
-		writeJSONError(w, http.StatusRequestEntityTooLarge, "tile too large")
+	if err != nil {
+		writeJSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	// A checksum mismatch means the payload was damaged in transit — the
 	// uploader should retry, so refuse before the decode check and mark
 	// the failure retryable for well-behaved clients.
-	if want := r.Header.Get(ChecksumHeader); want != "" && !checksumMatches(want, data) {
+	if want := r.Header.Get(ChecksumHeader); want != "" && !ChecksumMatches(want, data) {
 		w.Header().Set(TransientHeader, "checksum-mismatch")
 		writeJSONError(w, http.StatusBadRequest,
 			fmt.Sprintf("checksum mismatch: got %s want %s", Checksum(data), want))
@@ -458,6 +567,17 @@ func (s *TileServer) handleDelete(w http.ResponseWriter, r *http.Request, key Ti
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// cachedStateLocked returns the key's state when the write-time caches
+// hold all of it. Caller holds s.mu (read or write).
+func (s *TileServer) cachedStateLocked(key TileKey) (ReplicaState, bool) {
+	if tr, ok := s.tombs[key]; ok {
+		return ReplicaState{Tomb: true, Clock: tr.ts.Clock, Sum: tr.sum}, true
+	}
+	sum, okSum := s.sums[key]
+	clock, okClock := s.clocks[key]
+	return ReplicaState{Found: true, Clock: clock, Sum: sum}, okSum && okClock
 }
 
 // stateLocked returns the key's current conditional-write state and,

@@ -96,6 +96,40 @@ func ParseReplicaState(v string) (ReplicaState, error) {
 	}
 }
 
+// Present reports whether the replica holds anything for the key — a
+// live tile or a deletion marker.
+func (s ReplicaState) Present() bool { return s.Found || s.Tomb }
+
+// Compare orders two states as far as FresherState can without the
+// payload bytes: present beats absent, then logical clock, then
+// tombstone beats live. c is +1 when s is fresher, -1 when o is, 0 when
+// the two are identical (same kind, clock and checksum — the trust
+// ExpectHeader matching already places in the pair). ordered is false
+// when only the bytes can decide: same kind and clock, different
+// checksums. The caller must then compare payloads, not guess.
+func (s ReplicaState) Compare(o ReplicaState) (c int, ordered bool) {
+	switch {
+	case s.Present() != o.Present():
+		c = -1
+		if s.Present() {
+			c = 1
+		}
+	case s.Clock != o.Clock:
+		c = -1
+		if s.Clock > o.Clock {
+			c = 1
+		}
+	case s.Tomb != o.Tomb:
+		c = -1
+		if s.Tomb {
+			c = 1
+		}
+	case s.Sum != o.Sum:
+		return 0, false
+	}
+	return c, true
+}
+
 // FresherState is the cluster's total order over per-key replica
 // states, extended to deletions: logical clock first; on a clock tie a
 // tombstone beats a live tile (a delete at clock c cannot be undone by
