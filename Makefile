@@ -119,6 +119,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBinary$$' -fuzztime=$(FUZZTIME) ./internal/storage
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeBinaryDifferential -fuzztime=$(FUZZTIME) ./internal/storage
 	$(GO) test -run='^$$' -fuzz=FuzzTombstoneDecode -fuzztime=$(FUZZTIME) ./internal/storage
+	$(GO) test -run='^$$' -fuzz=FuzzParseTileKey -fuzztime=$(FUZZTIME) ./internal/storage
+	$(GO) test -run='^$$' -fuzz=FuzzEncodeFrom -fuzztime=$(FUZZTIME) ./internal/storage
 	$(GO) test -run='^$$' -fuzz=FuzzTrainBoost -fuzztime=$(FUZZTIME) ./internal/update/crowdupdate
 	$(GO) test -run='^$$' -fuzz=FuzzSanitizeTraceID -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz=FuzzVerifyMap -fuzztime=$(FUZZTIME) ./internal/mapverify

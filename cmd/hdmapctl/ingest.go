@@ -231,7 +231,7 @@ func cmdRollback(args []string) error {
 		}
 		// A one-shot republish remembers no earlier publish, so it
 		// rewrites every tile.
-		st, err := (storage.Tiler{}).SyncMap(ts, vs.Frozen(), *layer, nil)
+		st, err := (storage.Tiler{}).SyncMap(ts, vs.Frozen(), *layer)
 		if err != nil {
 			return err
 		}

@@ -615,9 +615,13 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			rt.clientError(w, http.StatusMethodNotAllowed, "method not allowed")
 			return
 		}
+		if !storage.ValidLayer(parts[2]) {
+			rt.clientError(w, http.StatusBadRequest, storage.ErrBadLayer.Error())
+			return
+		}
 		rt.handleList(w, r, span, parts[2])
 	case len(parts) == 5 && parts[1] == "tiles":
-		key, err := parseTileKey(parts[2], parts[3], parts[4])
+		key, err := storage.ParseTileKey(parts[2], parts[3], parts[4])
 		if err != nil {
 			rt.clientError(w, http.StatusBadRequest, err.Error())
 			return
@@ -642,21 +646,6 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	default:
 		rt.clientError(w, http.StatusNotFound, "not found")
 	}
-}
-
-func parseTileKey(layer, txs, tys string) (storage.TileKey, error) {
-	if layer == "" {
-		return storage.TileKey{}, errors.New("empty layer")
-	}
-	tx, err := strconv.ParseInt(txs, 10, 32)
-	if err != nil {
-		return storage.TileKey{}, fmt.Errorf("bad tx: %w", err)
-	}
-	ty, err := strconv.ParseInt(tys, 10, 32)
-	if err != nil {
-		return storage.TileKey{}, fmt.Errorf("bad ty: %w", err)
-	}
-	return storage.TileKey{Layer: layer, TX: int32(tx), TY: int32(ty)}, nil
 }
 
 func (rt *Router) retryAfterValue() string {

@@ -498,7 +498,7 @@ func TestRouterMetaEndpoints(t *testing.T) {
 }
 
 func TestRouterRejectsBadRequests(t *testing.T) {
-	rt, _ := newTestCluster(t, 3, Config{Replicas: 3})
+	rt, nodes := newTestCluster(t, 3, Config{Replicas: 3})
 	cases := []struct {
 		method, path string
 		body         []byte
@@ -511,11 +511,24 @@ func TestRouterRejectsBadRequests(t *testing.T) {
 		{http.MethodPut, "/v1/tiles/base/1/0", tileBytes(1, 1), map[string]string{storage.ChecksumHeader: "deadbeef"}, http.StatusBadRequest},
 		{http.MethodGet, "/v1/tiles/hint--node0--base/1/0", nil, nil, http.StatusNotFound},
 		{http.MethodGet, "/v1/nope", nil, nil, http.StatusNotFound},
+		// A layer is one plain path element, however it is spelled.
+		{http.MethodPut, "/v1/tiles/%2e%2e/0/0", tileBytes(1, 1), nil, http.StatusBadRequest},
+		{http.MethodPut, "/v1/tiles/../0/0", tileBytes(1, 1), nil, http.StatusBadRequest},
+		{http.MethodGet, "/v1/tiles/%2E%2e/0/0", nil, nil, http.StatusBadRequest},
+		{http.MethodDelete, "/v1/tiles/..%5Cup/0/0", nil, nil, http.StatusBadRequest},
+		{http.MethodPut, "/v1/tiles/a%00b/0/0", tileBytes(1, 1), nil, http.StatusBadRequest},
+		{http.MethodGet, "/v1/tiles/%2e%2e", nil, nil, http.StatusBadRequest},
+		{http.MethodGet, "/v1/tiles/.", nil, nil, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		w := do(t, rt, c.method, c.path, c.body, c.hdr)
 		if w.Code != c.want {
 			t.Errorf("%s %s: %d want %d (%s)", c.method, c.path, w.Code, c.want, w.Body.String())
+		}
+	}
+	for _, n := range nodes {
+		if layers, err := n.store.ListLayers(); err != nil || len(layers) != 0 {
+			t.Errorf("%s holds layers %v after nothing but refused requests (%v)", n.name, layers, err)
 		}
 	}
 	// Definitive rejections are served answers; accounting still closes.

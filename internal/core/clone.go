@@ -2,6 +2,7 @@ package core
 
 import (
 	"maps"
+	"reflect"
 	"slices"
 )
 
@@ -138,7 +139,10 @@ type Changes struct {
 }
 
 // ChangedFrom lists the IDs whose element in m does not Equal the one
-// in parent, an ID only one of the two maps holds included.
+// in parent, an ID only one of the two maps holds included. Where both
+// maps hold the very same element (a snapshot and its Successor do) it
+// is taken as unchanged without a look; two different objects always
+// compare by value.
 func (m *Map) ChangedFrom(parent *Map) Changes {
 	return Changes{
 		Points:   changedIDs(parent.points, m.points),
@@ -152,10 +156,21 @@ func (m *Map) ChangedFrom(parent *Map) Changes {
 
 func changedIDs[T any, P element[T]](old, cur map[ID]*T) map[ID]struct{} {
 	out := make(map[ID]struct{})
+	if reflect.ValueOf(old).Pointer() == reflect.ValueOf(cur).Pointer() {
+		return out // one table, shared by a snapshot and its successor
+	}
+	both := 0
 	for id, e := range cur {
-		if o, ok := old[id]; !ok || !P(e).Equal(o) {
+		o, ok := old[id]
+		if ok {
+			both++
+		}
+		if !ok || (o != e && !P(e).Equal(o)) {
 			out[id] = struct{}{}
 		}
+	}
+	if both == len(old) {
+		return out // cur holds every ID of old
 	}
 	for id := range old {
 		if _, ok := cur[id]; !ok {

@@ -12,7 +12,9 @@ import (
 // Map is the in-memory HD map: the physical and relational layers plus
 // spatial indexes. It is not safe for concurrent mutation; the pipelines
 // build maps single-writer and share them read-only (queries after
-// FreezeIndexes are concurrency-safe).
+// FreezeIndexes are concurrency-safe). A read-only snapshot may share
+// elements, whole tables and indexes with its Successor, so writing one
+// is never safe; a map from NewMap or Clone shares nothing.
 type Map struct {
 	// Name labels the map (tile id, region, scenario).
 	Name string
@@ -302,21 +304,9 @@ func (m *Map) FreezeIndexes() {
 	learnOrder(&m.laneletOrder, m.lanelets)
 	learnOrder(&m.bundleOrder, m.bundles)
 	learnOrder(&m.regOrder, m.regs)
-	pts := make([]spatial.Item, 0, len(m.points))
-	for _, p := range m.points {
-		pts = append(pts, p)
-	}
-	lns := make([]spatial.Item, 0, len(m.lines))
-	for _, l := range m.lines {
-		lns = append(lns, l)
-	}
-	lls := make([]spatial.Item, 0, len(m.lanelets))
-	for _, l := range m.lanelets {
-		lls = append(lls, l)
-	}
-	m.pointIdx = spatial.NewRTree(pts, 16)
-	m.lineIdx = spatial.NewRTree(lns, 16)
-	m.laneletIdx = spatial.NewRTree(lls, 16)
+	m.pointIdx = indexOf(m.points)
+	m.lineIdx = indexOf(m.lines)
+	m.laneletIdx = indexOf(m.lanelets)
 	m.indexDirty = false
 }
 

@@ -20,19 +20,21 @@ import "hdmaps/internal/core"
 // of edit to catch one that did not.
 
 // VerifyFrom is Verify(next, cfg) for a map that succeeds parent, given
-// prev, the report the same cfg produced for parent: findings on
-// elements the step from parent to next cannot have affected are taken
-// from prev, and the rules run on the others only. The report is the
-// one Verify would return, violation for violation. It falls back to
+// prev, the report the same cfg produced for parent, and ch, which must
+// be next.ChangedFrom(parent) (the caller has other uses for it, and it
+// is not read without a parent): findings on elements the step from
+// parent to next cannot have affected are taken from prev, and the
+// rules run on the others only. The report is the one Verify would
+// return, violation for violation. It falls back to
 // checking everything when there is nothing to start from (parent or
 // prev nil), when prev was truncated at the cap and so does not hold
 // every finding, and when the cap would truncate the result — which
 // findings survive the cap depends on the order a full pass adds them
 // in.
-func VerifyFrom(parent *core.Map, prev *Report, next *core.Map, cfg Config) *Report {
+func VerifyFrom(parent *core.Map, prev *Report, next *core.Map, ch core.Changes, cfg Config) *Report {
 	cfg.defaults()
 	if parent != nil && prev != nil && !prev.Truncated {
-		if rep := verifyChanged(parent, prev, next, cfg); rep != nil {
+		if rep := verifyChanged(parent, prev, next, ch, cfg); rep != nil {
 			return rep
 		}
 	}
@@ -43,8 +45,8 @@ func VerifyFrom(parent *core.Map, prev *Report, next *core.Map, cfg Config) *Rep
 
 // verifyChanged is the pass that starts from prev; nil means it does
 // not apply and the caller must check everything.
-func verifyChanged(parent *core.Map, prev *Report, next *core.Map, cfg Config) *Report {
-	dirty := dirtyClosure(parent, next)
+func verifyChanged(parent *core.Map, prev *Report, next *core.Map, ch core.Changes, cfg Config) *Report {
+	dirty := dirtyClosure(parent, next, ch)
 	if dirty == nil {
 		return nil
 	}
@@ -80,13 +82,12 @@ func verifyChanged(parent *core.Map, prev *Report, next *core.Map, cfg Config) *
 // many changes no finding. nil means the two maps differ in whether
 // they have more than one lanelet, which every lanelet's orphan check
 // reads.
-func dirtyClosure(parent, next *core.Map) map[core.ID]struct{} {
+func dirtyClosure(parent, next *core.Map, ch core.Changes) map[core.ID]struct{} {
 	_, _, _, was, _, _ := parent.Counts()
 	_, _, _, now, _, _ := next.Counts()
 	if (was > 1) != (now > 1) {
 		return nil
 	}
-	ch := next.ChangedFrom(parent)
 	dirty := make(map[core.ID]struct{})
 	mark := func(id core.ID) { dirty[id] = struct{}{} }
 	for _, set := range []map[core.ID]struct{}{ch.Points, ch.Lines, ch.Areas, ch.Lanelets, ch.Bundles, ch.Regs} {

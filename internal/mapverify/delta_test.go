@@ -19,7 +19,11 @@ import (
 // report back for the next step of a chain.
 func sameAsFull(t testing.TB, parent *core.Map, prev *mapverify.Report, next *core.Map, cfg mapverify.Config, what string) *mapverify.Report {
 	t.Helper()
-	got := mapverify.VerifyFrom(parent, prev, next, cfg)
+	var ch core.Changes
+	if parent != nil {
+		ch = next.ChangedFrom(parent)
+	}
+	got := mapverify.VerifyFrom(parent, prev, next, ch, cfg)
 	want := mapverify.Verify(next, cfg)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: report from the parent differs from the full pass\n got: %d errors %d warnings truncated=%v %v\nwant: %d errors %d warnings truncated=%v %v",

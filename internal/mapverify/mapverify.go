@@ -295,7 +295,7 @@ func (e *engine) add(rule string, sev Severity, id core.ID, format string, args 
 // It never mutates the map, never panics on structurally weird (e.g.
 // fuzz-decoded) input, and does bounded work per element.
 func Verify(m *core.Map, cfg Config) *Report {
-	return VerifyFrom(nil, nil, m, cfg)
+	return VerifyFrom(nil, nil, m, core.Changes{}, cfg)
 }
 
 // run applies every enabled rule to the elements under the dirty IDs,

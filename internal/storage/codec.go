@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"hdmaps/internal/core"
 	"hdmaps/internal/geo"
@@ -35,31 +36,22 @@ var (
 	ErrVersion = errors.New("storage: unsupported version")
 )
 
-// writer builds the binary stream.
+// writer builds the binary stream by appending to buf.
 type writer struct {
-	buf bytes.Buffer
-	tmp [binary.MaxVarintLen64]byte
+	buf []byte
 }
 
-func (w *writer) uvarint(v uint64) {
-	n := binary.PutUvarint(w.tmp[:], v)
-	w.buf.Write(w.tmp[:n])
-}
+func (w *writer) uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
 
-func (w *writer) varint(v int64) {
-	n := binary.PutVarint(w.tmp[:], v)
-	w.buf.Write(w.tmp[:n])
-}
+func (w *writer) varint(v int64) { w.buf = binary.AppendVarint(w.buf, v) }
 
 func (w *writer) str(s string) {
 	w.uvarint(uint64(len(s)))
-	w.buf.WriteString(s)
+	w.buf = append(w.buf, s...)
 }
 
 func (w *writer) float(f float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
-	w.buf.Write(b[:])
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(f))
 }
 
 // quant converts a coordinate to integer units.
@@ -115,87 +107,256 @@ func sortStrings(s []string) {
 	}
 }
 
+// One record per element kind. A record reads nothing but its element
+// — every polyline delta-codes from the origin — so its bytes are the
+// same wherever in whichever stream it is written: what lets EncodeFrom
+// copy the records of unchanged elements out of an earlier encoding.
+
+func (w *writer) point(p *core.PointElement) {
+	w.uvarint(uint64(p.ID))
+	w.uvarint(uint64(p.Class))
+	w.varint(quant(p.Pos.X))
+	w.varint(quant(p.Pos.Y))
+	w.varint(quant(p.Pos.Z))
+	w.float(p.Heading)
+	w.attrs(p.Attr)
+	w.meta(p.Meta)
+}
+
+func (w *writer) line(l *core.LineElement) {
+	w.uvarint(uint64(l.ID))
+	w.uvarint(uint64(l.Class))
+	w.uvarint(uint64(l.Boundary))
+	w.polyline(l.Geometry)
+	w.attrs(l.Attr)
+	w.meta(l.Meta)
+}
+
+func (w *writer) area(a *core.AreaElement) {
+	w.uvarint(uint64(a.ID))
+	w.uvarint(uint64(a.Class))
+	w.polyline(geo.Polyline(a.Outline))
+	w.attrs(a.Attr)
+	w.meta(a.Meta)
+}
+
+func (w *writer) lanelet(l *core.Lanelet) {
+	w.uvarint(uint64(l.ID))
+	w.uvarint(uint64(l.Left))
+	w.uvarint(uint64(l.Right))
+	w.polyline(l.Centerline)
+	w.uvarint(uint64(l.Type))
+	w.float(l.SpeedLimit)
+	w.ids(l.Successors)
+	w.uvarint(uint64(l.LeftNeighbor))
+	w.uvarint(uint64(l.RightNeighbor))
+	w.ids(l.Regulatory)
+	w.meta(l.Meta)
+}
+
+func (w *writer) bundle(b *core.LaneBundle) {
+	w.uvarint(uint64(b.ID))
+	w.varint(b.RoadID)
+	w.ids(b.Lanelets)
+	w.polyline(b.RefLine)
+	w.meta(b.Meta)
+}
+
+func (w *writer) regulatory(r *core.RegulatoryElement) {
+	w.uvarint(uint64(r.ID))
+	w.uvarint(uint64(r.Kind))
+	w.ids(r.Devices)
+	w.uvarint(uint64(r.StopLine))
+	w.ids(r.Lanelets)
+	w.float(r.Value)
+	w.meta(r.Meta)
+}
+
+// The element kinds, in the order their tables are written.
+const (
+	kindPoint = iota
+	kindLine
+	kindArea
+	kindLanelet
+	kindBundle
+	kindReg
+	numKinds
+)
+
+// kindIDs holds ascending element IDs, one list per kind.
+type kindIDs [numKinds][]core.ID
+
+func (k *kindIDs) empty() bool {
+	for _, ids := range k {
+		if len(ids) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func changesByKind(ch core.Changes) [numKinds]map[core.ID]struct{} {
+	return [numKinds]map[core.ID]struct{}{ch.Points, ch.Lines, ch.Areas, ch.Lanelets, ch.Bundles, ch.Regs}
+}
+
+// Encoding is an EncodeBinary output that remembers where in it each
+// element's record sits, for EncodeFrom to copy from.
+type Encoding struct {
+	// Bytes is the encoding itself. It is not a copy: whoever keeps the
+	// Encoding must not write it.
+	Bytes []byte
+	// tables is nil when the positions were not kept.
+	tables *[numKinds]table
+}
+
+// table locates one element table in an Encoding: record i belongs to
+// ids[i] and ends at start+ends[i], where the next one starts. Nothing
+// in it is written once set, so successive encodings share the ids and
+// ends of a table no change touched.
+type table struct {
+	ids   []core.ID
+	start int
+	ends  []uint32
+}
+
+func (t *table) record(data []byte, i int) []byte {
+	from := 0
+	if i > 0 {
+		from = int(t.ends[i-1])
+	}
+	return data[t.start+from : t.start+int(t.ends[i])]
+}
+
+// encoder is one encoding job.
+type encoder struct {
+	*writer
+	m *core.Map
+	// only, when set, names the elements of m to write; all otherwise.
+	only *kindIDs
+	// prev, when set, kept its positions and encodes a map from which m
+	// differs under the IDs in changed, by kind, and nowhere else.
+	prev    *Encoding
+	changed [numKinds]map[core.ID]struct{}
+	// index, when set, is told where each table lands.
+	index *[numKinds]table
+}
+
+// writers recycles encode buffers. An encoding of unknown size is built
+// in one and handed out as a copy of exactly its size, so that no
+// output — many are kept: archived versions, stored tiles — carries
+// growth slack.
+var writers = sync.Pool{New: func() any { return new(writer) }}
+
+// encode writes the stream and returns it.
+func (e *encoder) encode(name string, clock uint64) []byte {
+	if e.prev != nil {
+		// The size is the previous encoding's, give or take what changed:
+		// write straight into the output, with a little room.
+		n := len(e.prev.Bytes)
+		e.writer = &writer{buf: make([]byte, 0, n+n/64+256)}
+	} else {
+		e.writer = writers.Get().(*writer)
+	}
+	e.uvarint(binaryMagic)
+	e.uvarint(binaryVersion)
+	e.str(name)
+	e.uvarint(clock)
+	m := e.m
+	section(e, kindPoint, m.PointIDs, m.Point, (*writer).point)
+	section(e, kindLine, m.LineIDs, m.Line, (*writer).line)
+	section(e, kindArea, m.AreaIDs, m.Area, (*writer).area)
+	section(e, kindLanelet, m.LaneletIDs, m.Lanelet, (*writer).lanelet)
+	section(e, kindBundle, m.BundleIDs, m.Bundle, (*writer).bundle)
+	section(e, kindReg, m.RegulatoryIDs, m.Regulatory, (*writer).regulatory)
+	if e.prev != nil {
+		return e.buf
+	}
+	out := bytes.Clone(e.buf)
+	e.buf = e.buf[:0]
+	writers.Put(e.writer)
+	return out
+}
+
+// section writes one element table: its count, then a record per
+// element in ascending ID order — copied from the previous encoding
+// where there is one and the element did not change.
+func section[T any](e *encoder, k int, all func() []core.ID, get func(core.ID) (*T, error), put func(*writer, *T)) {
+	var old *table
+	if e.prev != nil {
+		old = &e.prev.tables[k]
+	}
+	untouched := old != nil && len(e.changed[k]) == 0
+	var ids []core.ID
+	switch {
+	case e.only != nil:
+		ids = e.only[k]
+	case untouched:
+		ids = old.ids // no ID came or went
+	default:
+		ids = all()
+	}
+	e.uvarint(uint64(len(ids)))
+	start := len(e.buf)
+	var ends []uint32
+	if untouched {
+		ends = old.ends
+		if n := len(ends); n > 0 {
+			e.buf = append(e.buf, e.prev.Bytes[old.start:old.start+int(ends[n-1])]...)
+		}
+	} else {
+		if e.index != nil {
+			ends = make([]uint32, len(ids))
+		}
+		j := 0
+		for i, id := range ids {
+			for old != nil && j < len(old.ids) && old.ids[j] < id {
+				j++
+			}
+			_, dirty := e.changed[k][id]
+			if old != nil && !dirty && j < len(old.ids) && old.ids[j] == id {
+				e.buf = append(e.buf, old.record(e.prev.Bytes, j)...)
+			} else {
+				el, _ := get(id)
+				put(e.writer, el)
+			}
+			if ends != nil {
+				ends[i] = uint32(len(e.buf) - start)
+			}
+		}
+	}
+	if e.index != nil {
+		e.index[k] = table{ids: ids, start: start, ends: ends}
+	}
+}
+
 // EncodeBinary serialises a map to the compact vector format.
 func EncodeBinary(m *core.Map) []byte {
-	w := &writer{}
-	w.uvarint(binaryMagic)
-	w.uvarint(binaryVersion)
-	w.str(m.Name)
-	w.uvarint(m.Clock)
+	e := encoder{m: m}
+	return e.encode(m.Name, m.Clock)
+}
 
-	pointIDs := m.PointIDs()
-	w.uvarint(uint64(len(pointIDs)))
-	for _, id := range pointIDs {
-		p, _ := m.Point(id)
-		w.uvarint(uint64(p.ID))
-		w.uvarint(uint64(p.Class))
-		w.varint(quant(p.Pos.X))
-		w.varint(quant(p.Pos.Y))
-		w.varint(quant(p.Pos.Z))
-		w.float(p.Heading)
-		w.attrs(p.Attr)
-		w.meta(p.Meta)
+// EncodeFrom is EncodeBinary(m), byte for byte, as an Encoding, made
+// from prev where it can be: prev must encode a map from which m
+// differs by ch (m.ChangedFrom of that map), and the records of the
+// elements ch does not name are copied out of it. A nil prev, or one
+// that kept no positions, encodes m in full.
+func EncodeFrom(prev *Encoding, m *core.Map, ch core.Changes) *Encoding {
+	e := encoder{m: m, index: new([numKinds]table)}
+	if prev != nil && prev.tables != nil {
+		e.prev, e.changed = prev, changesByKind(ch)
 	}
-	lineIDs := m.LineIDs()
-	w.uvarint(uint64(len(lineIDs)))
-	for _, id := range lineIDs {
-		l, _ := m.Line(id)
-		w.uvarint(uint64(l.ID))
-		w.uvarint(uint64(l.Class))
-		w.uvarint(uint64(l.Boundary))
-		w.polyline(l.Geometry)
-		w.attrs(l.Attr)
-		w.meta(l.Meta)
+	out := &Encoding{Bytes: e.encode(m.Name, m.Clock), tables: e.index}
+	if len(out.Bytes) > math.MaxUint32 {
+		out.tables = nil // positions are kept in 32 bits
 	}
-	areaIDs := m.AreaIDs()
-	w.uvarint(uint64(len(areaIDs)))
-	for _, id := range areaIDs {
-		a, _ := m.Area(id)
-		w.uvarint(uint64(a.ID))
-		w.uvarint(uint64(a.Class))
-		w.polyline(geo.Polyline(a.Outline))
-		w.attrs(a.Attr)
-		w.meta(a.Meta)
-	}
-	llIDs := m.LaneletIDs()
-	w.uvarint(uint64(len(llIDs)))
-	for _, id := range llIDs {
-		l, _ := m.Lanelet(id)
-		w.uvarint(uint64(l.ID))
-		w.uvarint(uint64(l.Left))
-		w.uvarint(uint64(l.Right))
-		w.polyline(l.Centerline)
-		w.uvarint(uint64(l.Type))
-		w.float(l.SpeedLimit)
-		w.ids(l.Successors)
-		w.uvarint(uint64(l.LeftNeighbor))
-		w.uvarint(uint64(l.RightNeighbor))
-		w.ids(l.Regulatory)
-		w.meta(l.Meta)
-	}
-	bIDs := m.BundleIDs()
-	w.uvarint(uint64(len(bIDs)))
-	for _, id := range bIDs {
-		b, _ := m.Bundle(id)
-		w.uvarint(uint64(b.ID))
-		w.varint(b.RoadID)
-		w.ids(b.Lanelets)
-		w.polyline(b.RefLine)
-		w.meta(b.Meta)
-	}
-	rIDs := m.RegulatoryIDs()
-	w.uvarint(uint64(len(rIDs)))
-	for _, id := range rIDs {
-		r, _ := m.Regulatory(id)
-		w.uvarint(uint64(r.ID))
-		w.uvarint(uint64(r.Kind))
-		w.ids(r.Devices)
-		w.uvarint(uint64(r.StopLine))
-		w.ids(r.Lanelets)
-		w.float(r.Value)
-		w.meta(r.Meta)
-	}
-	return w.buf.Bytes()
+	return out
+}
+
+// encodeSubset is EncodeBinary of the map named name, with that clock,
+// that holds the elements of m that ids lists and nothing else.
+func encodeSubset(m *core.Map, name string, clock uint64, ids *kindIDs) []byte {
+	e := encoder{m: m, only: ids}
+	return e.encode(name, clock)
 }
 
 // arenaChunk caps one vertex arena chunk (32 KiB of Vec2): big enough

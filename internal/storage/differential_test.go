@@ -221,7 +221,7 @@ func TestPeekClockTruncationAndHostileCounts(t *testing.T) {
 	w.uvarint(tombstoneMagic)
 	w.uvarint(tombstoneVersion)
 	w.uvarint(1 << 50)
-	if _, err := DecodeTombstone(w.buf.Bytes()); !errors.Is(err, ErrBadFormat) {
+	if _, err := DecodeTombstone(w.buf); !errors.Is(err, ErrBadFormat) {
 		t.Fatalf("forged tombstone layer length: %v", err)
 	}
 }

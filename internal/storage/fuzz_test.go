@@ -23,7 +23,7 @@ func hostileSeeds() [][]byte {
 	// Huge point count with no payload behind it.
 	w := header()
 	w.uvarint(1 << 62)
-	out = append(out, w.buf.Bytes())
+	out = append(out, w.buf)
 	// One line whose polyline claims 2^40 vertices.
 	w = header()
 	w.uvarint(0)       // points
@@ -32,13 +32,13 @@ func hostileSeeds() [][]byte {
 	w.uvarint(0)       // class
 	w.uvarint(0)       // boundary
 	w.uvarint(1 << 40) // polyline vertex count — must not allocate
-	out = append(out, w.buf.Bytes())
+	out = append(out, w.buf)
 	// Huge string length in the map name.
 	w = &writer{}
 	w.uvarint(binaryMagic)
 	w.uvarint(binaryVersion)
 	w.uvarint(1 << 50) // name length
-	out = append(out, w.buf.Bytes())
+	out = append(out, w.buf)
 	return out
 }
 

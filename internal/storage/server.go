@@ -195,15 +195,23 @@ func (s *TileServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			writeJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
 			return
 		}
+		if !ValidLayer(parts[2]) {
+			writeJSONError(w, http.StatusBadRequest, ErrBadLayer.Error())
+			return
+		}
 		s.handleList(w, r, parts[2])
 	case len(parts) == 3 && parts[0] == "v1" && parts[1] == "digest":
 		if r.Method != http.MethodGet {
 			writeJSONError(w, http.StatusMethodNotAllowed, "method not allowed")
 			return
 		}
+		if !ValidLayer(parts[2]) {
+			writeJSONError(w, http.StatusBadRequest, ErrBadLayer.Error())
+			return
+		}
 		s.handleDigest(w, r, parts[2])
 	case len(parts) == 5 && parts[0] == "v1" && parts[1] == "tiles":
-		key, err := parseKey(parts[2], parts[3], parts[4])
+		key, err := ParseTileKey(parts[2], parts[3], parts[4])
 		if err != nil {
 			writeJSONError(w, http.StatusBadRequest, err.Error())
 			return
@@ -223,21 +231,6 @@ func (s *TileServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeJSONError(w, http.StatusNotFound, "not found")
 	}
-}
-
-func parseKey(layer, txs, tys string) (TileKey, error) {
-	if layer == "" {
-		return TileKey{}, errors.New("empty layer")
-	}
-	tx, err := strconv.ParseInt(txs, 10, 32)
-	if err != nil {
-		return TileKey{}, fmt.Errorf("bad tx: %w", err)
-	}
-	ty, err := strconv.ParseInt(tys, 10, 32)
-	if err != nil {
-		return TileKey{}, fmt.Errorf("bad ty: %w", err)
-	}
-	return TileKey{Layer: layer, TX: int32(tx), TY: int32(ty)}, nil
 }
 
 func (s *TileServer) handleLayers(w http.ResponseWriter) {

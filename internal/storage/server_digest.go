@@ -16,7 +16,7 @@ import (
 // Internal (hint--/tomb--) layers are refused: tombstones already ride
 // the live layer's digest, and handoff copies are transit, not state.
 func (s *TileServer) handleDigest(w http.ResponseWriter, r *http.Request, layer string) {
-	if layer == "" || IsInternalLayer(layer) {
+	if IsInternalLayer(layer) {
 		writeJSONError(w, http.StatusBadRequest, "bad digest layer")
 		return
 	}

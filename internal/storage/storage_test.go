@@ -372,7 +372,7 @@ func TestTilerSyncDropsVacatedTiles(t *testing.T) {
 	narrow.AddPoint(core.PointElement{
 		Class: core.ClassSign, Pos: geo.V3(10, 10, 2), Meta: core.Meta{Confidence: 0.9},
 	})
-	st, err := tiler.SyncMap(store, narrow, "serve", nil)
+	st, err := tiler.SyncMap(store, narrow, "serve")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,14 +388,15 @@ func TestTilerSyncDropsVacatedTiles(t *testing.T) {
 	}
 }
 
-// putFailer fails the Put of one tile.
+// putFailer fails the Put of one tile while armed.
 type putFailer struct {
 	TileStore
-	fail TileKey
+	fail  TileKey
+	armed bool
 }
 
-func (s putFailer) Put(key TileKey, data []byte) error {
-	if key == s.fail {
+func (s *putFailer) Put(key TileKey, data []byte) error {
+	if s.armed && key == s.fail {
 		return errors.New("injected put failure")
 	}
 	return s.TileStore.Put(key, data)
@@ -404,10 +405,14 @@ func (s putFailer) Put(key TileKey, data []byte) error {
 func TestTilerSyncWritesOnlyChangedTiles(t *testing.T) {
 	tiler := Tiler{TileSize: 100}
 	store := NewMemStore()
-	written := make(map[TileKey]uint32)
-	sync := func(s TileStore, m *core.Map, want SyncStats, what string) {
+	gone := TileKey{Layer: "serve", TX: 0, TY: 0}
+	flaky := &putFailer{TileStore: store, fail: gone}
+	pub := NewPublisher(tiler, flaky, "serve")
+	// Each publish is of a snapshot: the publisher keeps the map it is
+	// given to tell what the next one changed.
+	sync := func(m *core.Map, want SyncStats, what string) {
 		t.Helper()
-		st, err := tiler.SyncMap(s, m, "serve", written)
+		st, err := pub.Sync(m.Clone())
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
@@ -433,41 +438,76 @@ func TestTilerSyncWritesOnlyChangedTiles(t *testing.T) {
 			Meta: core.Meta{Confidence: 0.9},
 		}))
 	}
-	sync(store, m, SyncStats{Saved: 4}, "first publish")
-	sync(store, m, SyncStats{Unchanged: 4}, "nothing changed")
+	sync(m, SyncStats{Saved: 4}, "first publish")
+	sync(m, SyncStats{Unchanged: 4}, "nothing changed")
 
 	if err := m.UpdatePoint(ids[1], func(p *core.PointElement) { p.Pos.Y += 5 }); err != nil {
 		t.Fatal(err)
 	}
-	sync(store, m, SyncStats{Saved: 1, Unchanged: 3}, "one point moved inside its tile")
+	sync(m, SyncStats{Saved: 1, Unchanged: 3}, "one point moved inside its tile")
 
 	// Across a tile boundary: the tile it left goes, the one it entered
 	// is new.
 	if err := m.UpdatePoint(ids[1], func(p *core.PointElement) { p.Pos.Y += 100 }); err != nil {
 		t.Fatal(err)
 	}
-	sync(store, m, SyncStats{Saved: 1, Unchanged: 3, Deleted: 1}, "one point moved to another tile")
+	sync(m, SyncStats{Saved: 1, Unchanged: 3, Deleted: 1}, "one point moved to another tile")
 
 	// A tile that went missing behind the publisher's back is written
 	// again although its checksum is the one remembered.
-	gone := TileKey{Layer: "serve", TX: 0, TY: 0}
 	if err := store.Delete(gone); err != nil {
 		t.Fatal(err)
 	}
-	sync(store, m, SyncStats{Saved: 1, Unchanged: 3}, "tile deleted behind the publisher")
+	sync(m, SyncStats{Saved: 1, Unchanged: 3}, "tile deleted behind the publisher")
 
 	// A failed Put leaves the store's tile unknown: it is forgotten and
 	// written again by the next publish, changed or not.
 	if err := m.UpdatePoint(ids[0], func(p *core.PointElement) { p.Pos.Y += 5 }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tiler.SyncMap(putFailer{store, gone}, m, "serve", written); err == nil {
+	flaky.armed = true
+	if _, err := pub.Sync(m.Clone()); err == nil {
 		t.Fatal("injected put failure not reported")
 	}
-	if _, ok := written[gone]; ok {
+	flaky.armed = false
+	if _, ok := pub.sums[gone]; ok {
 		t.Fatal("tile whose put failed is still remembered")
 	}
-	sync(store, m, SyncStats{Saved: 1, Unchanged: 3}, "publish after a failed put")
+	sync(m, SyncStats{Saved: 1, Unchanged: 3}, "publish after a failed put")
+}
+
+// TestPublisherPutsWhatItsManifestLacks: a tile the publisher holds no
+// checksum for is encoded and put although no changed element touches
+// it — the split it remembers says what the tile holds, not what the
+// store does.
+func TestPublisherPutsWhatItsManifestLacks(t *testing.T) {
+	store := NewMemStore()
+	pub := NewPublisher(Tiler{TileSize: 100}, store, "serve")
+	m := core.NewMap("world")
+	for i := 0; i < 3; i++ {
+		m.AddPoint(core.PointElement{Class: core.ClassSign, Pos: geo.V3(float64(i)*150, 10, 2)})
+	}
+	if st, err := pub.Sync(m.Clone()); err != nil || st != (SyncStats{Saved: 3}) {
+		t.Fatalf("first publish: %+v, %v", st, err)
+	}
+	if st, err := pub.Sync(m.Clone()); err != nil || st != (SyncStats{Unchanged: 3}) {
+		t.Fatalf("nothing changed: %+v, %v", st, err)
+	}
+	forgotten := TileKey{Layer: "serve", TX: 1, TY: 0}
+	delete(pub.sums, forgotten)
+	if err := store.Put(forgotten, []byte("someone else's bytes")); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := pub.Sync(m.Clone()); err != nil || st != (SyncStats{Saved: 1, Unchanged: 2}) {
+		t.Fatalf("a tile missing from the manifest: %+v, %v", st, err)
+	}
+	fresh := NewMemStore()
+	if _, err := (Tiler{TileSize: 100}).SaveMap(fresh, m, "serve"); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(store.tiles, fresh.tiles) {
+		t.Fatal("layer differs from a full write")
+	}
 }
 
 func BenchmarkEncodeBinary(b *testing.B) {

@@ -7,7 +7,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
 	"hdmaps/internal/core"
@@ -42,6 +45,34 @@ func interleave(v uint32) uint64 {
 	x = (x | x<<2) & 0x3333333333333333
 	x = (x | x<<1) & 0x5555555555555555
 	return x
+}
+
+// ErrBadLayer is returned for a layer name ValidLayer refuses.
+var ErrBadLayer = errors.New("storage: bad layer name")
+
+// ValidLayer reports whether name can name a layer: not empty, not "."
+// or "..", and free of '/', '\' and NUL — so that it is one path
+// element wherever a store keeps a layer as a directory.
+func ValidLayer(name string) bool {
+	return name != "" && name != "." && name != ".." && !strings.ContainsAny(name, "/\\\x00")
+}
+
+// ParseTileKey builds a key from the three elements a tile route
+// carries, refusing a layer that is not ValidLayer and coordinates that
+// are not 32-bit decimals.
+func ParseTileKey(layer, txs, tys string) (TileKey, error) {
+	if !ValidLayer(layer) {
+		return TileKey{}, fmt.Errorf("%w %q", ErrBadLayer, layer)
+	}
+	tx, err := strconv.ParseInt(txs, 10, 32)
+	if err != nil {
+		return TileKey{}, fmt.Errorf("bad tx: %w", err)
+	}
+	ty, err := strconv.ParseInt(tys, 10, 32)
+	if err != nil {
+		return TileKey{}, fmt.Errorf("bad ty: %w", err)
+	}
+	return TileKey{Layer: layer, TX: int32(tx), TY: int32(ty)}, nil
 }
 
 // TileStore persists map tiles by layer. Implementations must be safe
@@ -145,21 +176,87 @@ func NewDirStore(root string) (*DirStore, error) {
 	return &DirStore{root: root}, nil
 }
 
-func (s *DirStore) path(key TileKey) string {
-	return filepath.Join(s.root, key.Layer, fmt.Sprintf("%016x_%d_%d.tile", key.Morton(), key.TX, key.TY))
+// tileFile is the name of a tile's file in its layer's directory: the
+// Morton code in 16 hex digits first, so that names sort in Morton
+// order.
+func tileFile(key TileKey) string {
+	return fmt.Sprintf("%016x_%d_%d.tile", key.Morton(), key.TX, key.TY)
+}
+
+// parseTileFile is the inverse of tileFile, and strict: ok only for
+// exactly the name tileFile gives some tile, so that whatever else is in
+// the directory — a torn write's .tmp, a file under the wrong Morton
+// code — is never listed as a tile Get could not find, or twice.
+func parseTileFile(name string) (tx, ty int32, ok bool) {
+	rest, ok := strings.CutSuffix(name, ".tile")
+	if !ok || len(rest) < 17 || rest[16] != '_' {
+		return 0, 0, false
+	}
+	var morton uint64
+	for _, c := range []byte(rest[:16]) {
+		switch {
+		case c >= '0' && c <= '9':
+			morton = morton<<4 | uint64(c-'0')
+		case c >= 'a' && c <= 'f':
+			morton = morton<<4 | uint64(c-'a'+10)
+		default:
+			return 0, 0, false
+		}
+	}
+	txs, tys, ok := strings.Cut(rest[17:], "_")
+	if !ok {
+		return 0, 0, false
+	}
+	tx, okx := canonicalInt32(txs)
+	ty, oky := canonicalInt32(tys)
+	if !okx || !oky || (TileKey{TX: tx, TY: ty}).Morton() != morton {
+		return 0, 0, false
+	}
+	return tx, ty, true
+}
+
+// canonicalInt32 parses s if it is the one way %d prints an int32: no
+// plus sign, no leading zeros, no "-0".
+func canonicalInt32(s string) (int32, bool) {
+	digits := strings.TrimPrefix(s, "-")
+	if digits == "" || digits[0] == '+' || (digits[0] == '0' && s != "0") {
+		return 0, false
+	}
+	v, err := strconv.ParseInt(s, 10, 32)
+	return int32(v), err == nil
+}
+
+// dir is the layer's directory. A layer name that is not ValidLayer
+// could name a directory outside the store's root, and is refused.
+func (s *DirStore) dir(layer string) (string, error) {
+	if !ValidLayer(layer) {
+		return "", fmt.Errorf("%w %q", ErrBadLayer, layer)
+	}
+	return filepath.Join(s.root, layer), nil
+}
+
+func (s *DirStore) path(key TileKey) (string, error) {
+	dir, err := s.dir(key.Layer)
+	if err != nil {
+		return "", err
+	}
+	return filepath.Join(dir, tileFile(key)), nil
 }
 
 // Put implements TileStore.
 func (s *DirStore) Put(key TileKey, data []byte) error {
-	dir := filepath.Join(s.root, key.Layer)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	path, err := s.path(key)
+	if err != nil {
 		return fmt.Errorf("storage: put %v: %w", key, err)
 	}
-	tmp := s.path(key) + ".tmp"
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("storage: put %v: %w", key, err)
+	}
+	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return fmt.Errorf("storage: put %v: %w", key, err)
 	}
-	if err := os.Rename(tmp, s.path(key)); err != nil {
+	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("storage: put %v: %w", key, err)
 	}
 	return nil
@@ -167,7 +264,11 @@ func (s *DirStore) Put(key TileKey, data []byte) error {
 
 // Get implements TileStore.
 func (s *DirStore) Get(key TileKey) ([]byte, error) {
-	data, err := os.ReadFile(s.path(key))
+	path, err := s.path(key)
+	if err != nil {
+		return nil, fmt.Errorf("storage: get %v: %w", key, err)
+	}
+	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("%v: %w", key, ErrNoTile)
 	}
@@ -177,9 +278,13 @@ func (s *DirStore) Get(key TileKey) ([]byte, error) {
 	return data, nil
 }
 
-// Keys implements TileStore.
+// Keys implements TileStore. One directory read: ReadDir returns the
+// names sorted, which for tile files is Morton order already.
 func (s *DirStore) Keys(layer string) ([]TileKey, error) {
-	dir := filepath.Join(s.root, layer)
+	dir, err := s.dir(layer)
+	if err != nil {
+		return nil, fmt.Errorf("storage: keys: %w", err)
+	}
 	ents, err := os.ReadDir(dir)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
@@ -189,14 +294,10 @@ func (s *DirStore) Keys(layer string) ([]TileKey, error) {
 	}
 	var out []TileKey
 	for _, e := range ents {
-		var morton uint64
-		var tx, ty int32
-		if _, err := fmt.Sscanf(e.Name(), "%016x_%d_%d.tile", &morton, &tx, &ty); err != nil {
-			continue
+		if tx, ty, ok := parseTileFile(e.Name()); ok {
+			out = append(out, TileKey{Layer: layer, TX: tx, TY: ty})
 		}
-		out = append(out, TileKey{Layer: layer, TX: tx, TY: ty})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Morton() < out[j].Morton() })
 	return out, nil
 }
 
@@ -226,7 +327,11 @@ func (s *DirStore) ListLayers() ([]string, error) {
 
 // Delete implements TileStore.
 func (s *DirStore) Delete(key TileKey) error {
-	err := os.Remove(s.path(key))
+	path, err := s.path(key)
+	if err != nil {
+		return fmt.Errorf("storage: delete %v: %w", key, err)
+	}
+	err = os.Remove(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
@@ -248,6 +353,11 @@ func (t Tiler) tileOf(p geo.Vec2) (int32, int32) {
 	return int32(math.Floor(p.X / size)), int32(math.Floor(p.Y / size))
 }
 
+// tileName names the sub-map Split makes of m's part in a tile.
+func tileName(m *core.Map, key TileKey) string {
+	return fmt.Sprintf("%s/%d_%d", m.Name, key.TX, key.TY)
+}
+
 // Split partitions a map into per-tile sub-maps by element anchor
 // position (centroid). Relational elements follow their centreline
 // anchor; references crossing tiles are preserved by ID (tile consumers
@@ -255,11 +365,10 @@ func (t Tiler) tileOf(p geo.Vec2) (int32, int32) {
 func (t Tiler) Split(m *core.Map, layer string) map[TileKey]*core.Map {
 	out := make(map[TileKey]*core.Map)
 	get := func(p geo.Vec2) *core.Map {
-		tx, ty := t.tileOf(p)
-		key := TileKey{Layer: layer, TX: tx, TY: ty}
+		key := t.keyOf(layer, p)
 		sm, ok := out[key]
 		if !ok {
-			sm = core.NewMap(fmt.Sprintf("%s/%d_%d", m.Name, tx, ty))
+			sm = core.NewMap(tileName(m, key))
 			out[key] = sm
 		}
 		return sm
@@ -304,19 +413,7 @@ func (t Tiler) Split(m *core.Map, layer string) map[TileKey]*core.Map {
 	}
 	for _, id := range m.RegulatoryIDs() {
 		r, _ := m.Regulatory(id)
-		// Anchor regulatory elements at their first device, else first
-		// governed lanelet.
-		anchor := geo.Vec2{}
-		if len(r.Devices) > 0 {
-			if p, err := m.Point(r.Devices[0]); err == nil {
-				anchor = p.Pos.XY()
-			}
-		} else if len(r.Lanelets) > 0 {
-			if l, err := m.Lanelet(r.Lanelets[0]); err == nil {
-				anchor = l.Centerline.Centroid()
-			}
-		}
-		_ = get(anchor).RestoreRegulatory(*r)
+		_ = get(regAnchor(m, r)).RestoreRegulatory(*r)
 	}
 	return out
 }
@@ -333,62 +430,280 @@ func (t Tiler) SaveMap(store TileStore, m *core.Map, layer string) (int, error) 
 	return len(tiles), nil
 }
 
-// SyncStats counts what one SyncMap did to a layer's tiles.
+// regAnchorID names the element a regulatory element is homed with: its
+// first device, else its first governed lanelet; ok is false when it
+// names neither.
+func regAnchorID(r *core.RegulatoryElement) (kind int, id core.ID, ok bool) {
+	switch {
+	case len(r.Devices) > 0:
+		return kindPoint, r.Devices[0], true
+	case len(r.Lanelets) > 0:
+		return kindLanelet, r.Lanelets[0], true
+	}
+	return 0, 0, false
+}
+
+// regAnchor is where a regulatory element sits for tiling: with the
+// element regAnchorID names, at the origin when m does not hold it.
+func regAnchor(m *core.Map, r *core.RegulatoryElement) geo.Vec2 {
+	var at geo.Vec2
+	if kind, id, ok := regAnchorID(r); ok {
+		at, _ = anchor(m, kind, id)
+	}
+	return at
+}
+
+// anchor is the position that decides which tile m's element id of the
+// given kind belongs to — what Split reads of it; ok is false when m
+// holds no such element.
+func anchor(m *core.Map, kind int, id core.ID) (at geo.Vec2, ok bool) {
+	switch kind {
+	case kindPoint:
+		if p, err := m.Point(id); err == nil {
+			return p.Pos.XY(), true
+		}
+	case kindLine:
+		if l, err := m.Line(id); err == nil {
+			return l.Geometry.Centroid(), true
+		}
+	case kindArea:
+		if a, err := m.Area(id); err == nil {
+			return geo.Polyline(a.Outline).Centroid(), true
+		}
+	case kindLanelet:
+		if l, err := m.Lanelet(id); err == nil {
+			return l.Centerline.Centroid(), true
+		}
+	case kindBundle:
+		if b, err := m.Bundle(id); err == nil {
+			return b.RefLine.Centroid(), true
+		}
+	case kindReg:
+		if r, err := m.Regulatory(id); err == nil {
+			return regAnchor(m, r), true
+		}
+	}
+	return geo.Vec2{}, false
+}
+
+// SyncStats counts what one sync did to a layer's tiles.
 type SyncStats struct {
 	Saved, Unchanged, Deleted int
 }
 
-// SyncMap makes layer's stored tile set exactly m's: it writes the
-// tiles of the split and deletes stale tiles left over from a previous
-// version of the layer. SaveMap alone is not enough when a layer is
-// republished — an element migrating across a tile boundary (or a
-// rollback shrinking the map) would otherwise leave its old tile behind
-// and LoadMap would stitch the element twice.
+// Publisher keeps one layer of a tile store in step with the successive
+// versions of a map, at a cost in proportion to what a version changed.
+// It is sound as long as nobody else writes the layer. Not safe for
+// concurrent use.
+type Publisher struct {
+	tiler Tiler
+	store TileStore
+	layer string
+
+	// sums is the manifest: the CRC32-C of every tile the publisher put
+	// in the layer. A tile whose encoding still has that checksum and
+	// which the store still lists is left alone.
+	sums map[TileKey]uint32
+	// last is the version published last and split the IDs of its
+	// elements by the tile Split puts them in — IDs, not elements or
+	// bytes: a tile is encoded out of the version itself. Both are nil
+	// when no publish has succeeded since the last failure.
+	last  *core.Map
+	split map[TileKey]*kindIDs
+}
+
+// NewPublisher returns a publisher that remembers nothing yet: its
+// first Sync writes every tile.
+func NewPublisher(t Tiler, store TileStore, layer string) *Publisher {
+	return &Publisher{tiler: t, store: store, layer: layer, sums: make(map[TileKey]uint32)}
+}
+
+// Sync makes the layer's stored tile set exactly Split(m)'s, tile for
+// tile the bytes SaveMap writes: it puts the tiles that differ from
+// what it put before and deletes stale ones left over from an earlier
+// version — an element migrating across a tile boundary (or a rollback
+// shrinking the map) would otherwise leave its old tile behind and
+// LoadMap would stitch the element twice.
 //
-// written is the publisher's memory of the layer: the CRC32-C of every
-// tile its earlier calls put there. A tile whose encoding still has
-// that checksum and which the store still lists is left alone, which
-// is sound as long as nobody else writes the layer. SyncMap keeps
-// written in step with what it puts and deletes, also when it fails
-// part way; nil remembers nothing and writes every tile.
-func (t Tiler) SyncMap(store TileStore, m *core.Map, layer string, written map[TileKey]uint32) (SyncStats, error) {
-	var st SyncStats
-	tiles := t.Split(m, layer)
-	keys, err := store.Keys(layer)
+// m must never be written again: the next Sync finds what changed by
+// comparing its map with m, moves only those elements between tiles and
+// encodes only the tiles they touch or leave. A tile the manifest or
+// the store's listing does not know is encoded and put whatever
+// changed. After an error the split is forgotten — the next Sync splits
+// in full and falls back on the checksums — and so is the checksum of
+// a tile whose put failed: what the store holds of it is anyone's
+// guess.
+func (p *Publisher) Sync(m *core.Map) (SyncStats, error) {
+	var dirty map[TileKey]bool // nil: every tile may have changed
+	if p.last == nil || p.last == m {
+		// Nothing to compare with; the same map again cannot say what
+		// changed in it.
+		p.split = p.tiler.members(m, p.layer)
+	} else {
+		dirty = p.resplit(m)
+	}
+	p.last = m
+	st, err := p.write(m, dirty)
 	if err != nil {
-		return st, fmt.Errorf("storage: sync layer %q: %w", layer, err)
+		p.last, p.split = nil, nil
+	}
+	return st, err
+}
+
+// members is Split without the sub-maps: which elements each tile holds.
+func (t Tiler) members(m *core.Map, layer string) map[TileKey]*kindIDs {
+	out := make(map[TileKey]*kindIDs)
+	all := kindIDs{m.PointIDs(), m.LineIDs(), m.AreaIDs(), m.LaneletIDs(), m.BundleIDs(), m.RegulatoryIDs()}
+	for kind, ids := range all {
+		for _, id := range ids {
+			at, _ := anchor(m, kind, id)
+			key := t.keyOf(layer, at)
+			tile, ok := out[key]
+			if !ok {
+				tile = new(kindIDs)
+				out[key] = tile
+			}
+			tile[kind] = append(tile[kind], id) // ascending, as ids is
+		}
+	}
+	return out
+}
+
+func (t Tiler) keyOf(layer string, at geo.Vec2) TileKey {
+	tx, ty := t.tileOf(at)
+	return TileKey{Layer: layer, TX: tx, TY: ty}
+}
+
+// resplit turns the split of p.last into the split of m by moving the
+// elements that differ, and returns the tiles that gained, lost or hold
+// one of them: the only tiles whose bytes can differ.
+func (p *Publisher) resplit(m *core.Map) map[TileKey]bool {
+	changed := changesByKind(m.ChangedFrom(p.last))
+	dirty := make(map[TileKey]bool)
+	rehome := func(kind int, id core.ID) {
+		was, had := anchor(p.last, kind, id)
+		is, has := anchor(m, kind, id)
+		from, to := p.tiler.keyOf(p.layer, was), p.tiler.keyOf(p.layer, is)
+		if had {
+			dirty[from] = true
+		}
+		if has {
+			dirty[to] = true
+		}
+		if had && has && from == to {
+			return
+		}
+		if had {
+			tile := p.split[from]
+			if i, ok := slices.BinarySearch(tile[kind], id); ok {
+				tile[kind] = slices.Delete(tile[kind], i, i+1)
+			}
+			if tile.empty() {
+				delete(p.split, from) // Split would not make it
+			}
+		}
+		if has {
+			tile, ok := p.split[to]
+			if !ok {
+				tile = new(kindIDs)
+				p.split[to] = tile
+			}
+			if i, ok := slices.BinarySearch(tile[kind], id); !ok {
+				tile[kind] = slices.Insert(tile[kind], i, id)
+			}
+		}
+	}
+	for kind, ids := range changed {
+		for id := range ids {
+			rehome(kind, id)
+		}
+	}
+	// A regulatory element that did not change still follows the element
+	// it is homed with.
+	if len(changed[kindPoint])+len(changed[kindLanelet]) > 0 {
+		for _, id := range m.RegulatoryIDs() {
+			if _, done := changed[kindReg][id]; done {
+				continue
+			}
+			r, _ := m.Regulatory(id)
+			if kind, with, ok := regAnchorID(r); ok {
+				if _, moved := changed[kind][with]; moved {
+					rehome(kindReg, id)
+				}
+			}
+		}
+	}
+	return dirty
+}
+
+// write puts the tiles of p.split that may differ from the store's and
+// deletes the stored tiles the split does not have.
+func (p *Publisher) write(m *core.Map, dirty map[TileKey]bool) (SyncStats, error) {
+	var st SyncStats
+	keys, err := p.store.Keys(p.layer)
+	if err != nil {
+		return st, fmt.Errorf("storage: sync layer %q: %w", p.layer, err)
 	}
 	stored := make(map[TileKey]bool, len(keys))
 	for _, key := range keys {
 		stored[key] = true
 	}
-	for key, sm := range tiles {
-		data := EncodeBinary(sm)
-		sum := crc32.Checksum(data, castagnoli)
-		if last, ok := written[key]; ok && last == sum && stored[key] {
+	for key, ids := range p.split {
+		last, known := p.sums[key]
+		known = known && stored[key]
+		if known && dirty != nil && !dirty[key] {
 			st.Unchanged++
 			continue
 		}
-		if err := store.Put(key, data); err != nil {
-			delete(written, key) // what the store holds now is anyone's guess
+		data := encodeSubset(m, tileName(m, key), tileClock(m, ids), ids)
+		sum := crc32.Checksum(data, castagnoli)
+		if known && last == sum {
+			st.Unchanged++
+			continue
+		}
+		if err := p.store.Put(key, data); err != nil {
+			delete(p.sums, key)
 			return st, fmt.Errorf("storage: save tile %v: %w", key, err)
 		}
-		if written != nil {
-			written[key] = sum
-		}
+		p.sums[key] = sum
 		st.Saved++
 	}
 	for _, key := range keys {
-		if _, live := tiles[key]; live {
+		if _, live := p.split[key]; live {
 			continue
 		}
-		if err := store.Delete(key); err != nil {
+		if err := p.store.Delete(key); err != nil {
 			return st, fmt.Errorf("storage: drop stale tile %v: %w", key, err)
 		}
-		delete(written, key)
+		delete(p.sums, key)
 		st.Deleted++
 	}
 	return st, nil
+}
+
+// tileClock is the clock Split gives the tile holding these elements
+// of m: the latest stamp among them, regulatory elements aside.
+func tileClock(m *core.Map, ids *kindIDs) uint64 {
+	clock := latest(0, ids[kindPoint], m.Point, func(e *core.PointElement) uint64 { return e.Meta.Stamp })
+	clock = latest(clock, ids[kindLine], m.Line, func(e *core.LineElement) uint64 { return e.Meta.Stamp })
+	clock = latest(clock, ids[kindArea], m.Area, func(e *core.AreaElement) uint64 { return e.Meta.Stamp })
+	clock = latest(clock, ids[kindLanelet], m.Lanelet, func(e *core.Lanelet) uint64 { return e.Meta.Stamp })
+	return latest(clock, ids[kindBundle], m.Bundle, func(e *core.LaneBundle) uint64 { return e.Meta.Stamp })
+}
+
+func latest[T any](clock uint64, ids []core.ID, get func(core.ID) (*T, error), stamp func(*T) uint64) uint64 {
+	for _, id := range ids {
+		if e, err := get(id); err == nil {
+			clock = max(clock, stamp(e))
+		}
+	}
+	return clock
+}
+
+// SyncMap makes layer's stored tile set exactly m's in one go: a
+// Publisher that remembers nothing, so every tile is written.
+func (t Tiler) SyncMap(store TileStore, m *core.Map, layer string) (SyncStats, error) {
+	return NewPublisher(t, store, layer).Sync(m)
 }
 
 // LoadMap reads all tiles of a layer and stitches them into one map.

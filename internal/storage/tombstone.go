@@ -65,8 +65,8 @@ func EncodeTombstone(t Tombstone) []byte {
 	w.uvarint(t.Clock)
 	w.uvarint(t.Created)
 	w.uvarint(t.TTLSeconds)
-	w.uvarint(uint64(crc32.Checksum(w.buf.Bytes(), castagnoli)))
-	return w.buf.Bytes()
+	w.uvarint(uint64(crc32.Checksum(w.buf, castagnoli)))
+	return w.buf
 }
 
 // DecodeTombstone parses a marker. Wrong magic returns ErrNotTombstone

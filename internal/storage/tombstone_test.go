@@ -88,7 +88,7 @@ func TestTombstoneDecodeNonCanonical(t *testing.T) {
 	w.uvarint(ts.Clock)
 	w.uvarint(ts.Created)
 	w.uvarint(ts.TTLSeconds)
-	body := w.buf.Bytes()
+	body := w.buf
 	crc := canon[len(body):]
 	// Pad: uvarint continuation — rewrite last CRC byte with high bit set
 	// plus an extra 0x00 group encodes the same value in more bytes.

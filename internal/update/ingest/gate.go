@@ -107,16 +107,17 @@ func (e *GateError) Error() string {
 // parent (nil parent = genesis commit, delta constraints skipped). It
 // returns nil when the candidate may be published.
 func CheckCommit(parent, next *core.Map, cfg GateConfig) []GateViolation {
-	out, _ := checkCommit(parent, nil, next, cfg)
+	out, _ := checkCommit(parent, nil, next, core.Changes{}, cfg)
 	return out
 }
 
 // checkCommit is CheckCommit for a caller that kept prev, the report
-// this gate's constraint engine made of parent (nil when it did not):
-// the engine then re-checks only what the step from parent to next can
-// have affected. It also returns the engine's report of next, for the
-// caller to keep in turn; nil when the engine is disabled.
-func checkCommit(parent *core.Map, prev *mapverify.Report, next *core.Map, cfg GateConfig) ([]GateViolation, *mapverify.Report) {
+// this gate's constraint engine made of parent (nil when it did not),
+// and worked out ch, next.ChangedFrom(parent): the engine then
+// re-checks only what the step from parent to next can have affected.
+// It also returns the engine's report of next, for the caller to keep
+// in turn; nil when the engine is disabled.
+func checkCommit(parent *core.Map, prev *mapverify.Report, next *core.Map, ch core.Changes, cfg GateConfig) ([]GateViolation, *mapverify.Report) {
 	cfg.defaults()
 	var out []GateViolation
 	var rep *mapverify.Report
@@ -138,7 +139,7 @@ func checkCommit(parent *core.Map, prev *mapverify.Report, next *core.Map, cfg G
 	// findings block like any other invariant; Warns never do. The
 	// report is capped the same way the validate family is.
 	if !cfg.DisableVerify {
-		rep = mapverify.VerifyFrom(parent, prev, next, cfg.Verify)
+		rep = mapverify.VerifyFrom(parent, prev, next, ch, cfg.Verify)
 		shown := 0
 		for _, v := range rep.Violations {
 			if v.Severity != mapverify.SevError {

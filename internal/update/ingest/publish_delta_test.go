@@ -1,6 +1,8 @@
 package ingest
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -15,13 +17,18 @@ import (
 	"hdmaps/internal/worldgen"
 )
 
-// countingStore counts the tiles put through it.
+// countingStore counts the tiles put through it, and fails one put
+// when told to.
 type countingStore struct {
 	storage.TileStore
-	puts atomic.Int64
+	puts     atomic.Int64
+	failNext atomic.Bool
 }
 
 func (s *countingStore) Put(key storage.TileKey, data []byte) error {
+	if s.failNext.Swap(false) {
+		return errors.New("injected put failure")
+	}
 	s.puts.Add(1)
 	return s.TileStore.Put(key, data)
 }
@@ -45,11 +52,12 @@ func layerBytes(t *testing.T, store storage.TileStore, layer string) map[storage
 }
 
 // TestChangedTilesPublishMatchesFullPublish: through seeded commits, a
-// point migrating across a tile boundary and a rollback, the layer the
-// service keeps up by writing changed tiles only is, key for key and
-// byte for byte, the layer one full write of the current version gives
-// an empty store — and the report the gate keeps for the next commit is
-// the full pass's.
+// point migrating across a tile boundary, a failed put, a tile deleted
+// behind the publisher and a rollback, the layer the service keeps up
+// by writing changed tiles only is, key for key and byte for byte, the
+// layer one full write of the current version gives an empty store —
+// and the report the gate keeps for the next commit is the full
+// pass's, and the version it archives the full encoding.
 func TestChangedTilesPublishMatchesFullPublish(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	g, err := worldgen.GenerateGrid(worldgen.GridParams{
@@ -85,16 +93,19 @@ func TestChangedTilesPublishMatchesFullPublish(t *testing.T) {
 	defer svc.Close()
 
 	var seq, stamp uint64 = 0, g.Map.Clock
-	published := uint64(0)
+	published, failed := uint64(0), uint64(0)
 	check := func(what string) {
 		t.Helper()
 		published++
 		waitFor(t, func() bool { return svc.Metrics().Published == published })
-		if m := svc.Metrics(); m.PublishErrors != 0 || m.CommitsRejected != 0 {
+		if m := svc.Metrics(); m.PublishErrors != failed || m.CommitsRejected != 0 {
 			t.Fatalf("%s: %d publish errors, %d rejected commits", what, m.PublishErrors, m.CommitsRejected)
 		}
+		if !bytes.Equal(vs.CurrentBytes(), storage.EncodeBinary(vs.Frozen())) {
+			t.Fatalf("%s: the archived version is not the full encoding of the served one", what)
+		}
 		fresh := storage.NewMemStore()
-		if _, err := tiler.SyncMap(fresh, vs.Frozen(), layer, nil); err != nil {
+		if _, err := tiler.SyncMap(fresh, vs.Frozen(), layer); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := layerBytes(t, store, layer), layerBytes(t, fresh, layer); !reflect.DeepEqual(got, want) {
@@ -154,7 +165,33 @@ func TestChangedTilesPublishMatchesFullPublish(t *testing.T) {
 		t.Fatalf("fixture: the edge point did not move into a tile of its own (%d tiles, then %d)", tiles, moved)
 	}
 
-	if _, err := svc.Rollback(1); err != nil {
+	// A put fails: the publish is abandoned, and the next one leaves the
+	// layer right whatever the failed one got to write.
+	store.failNext.Store(true)
+	batch(geo.Vec2{}, nil)
+	failed++
+	waitFor(t, func() bool { return svc.Metrics().PublishErrors == failed })
+	batch(geo.Vec2{}, nil)
+	check("commit after a failed put")
+
+	// A tile no report comes near — it holds no point — goes missing: no
+	// changed element touches it, and it is put again all the same.
+	var quiet storage.TileKey
+	for key, data := range layerBytes(t, store, layer) {
+		if m, err := storage.DecodeBinary([]byte(data)); err == nil && len(m.PointIDs()) == 0 {
+			quiet = key
+		}
+	}
+	if quiet.Layer == "" {
+		t.Fatal("fixture: every tile holds a point")
+	}
+	if err := store.Delete(quiet); err != nil {
+		t.Fatal(err)
+	}
+	batch(geo.Vec2{}, nil)
+	check("commit after a tile went missing")
+
+	if _, err := svc.Rollback(4); err != nil {
 		t.Fatal(err)
 	}
 	check("rollback")

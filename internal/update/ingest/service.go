@@ -144,17 +144,17 @@ type Service struct {
 	quar  *Quarantine
 	pool  *pool
 
-	mu          sync.Mutex // guards working/fuser/seen/highWater/sinceCommit/tileSums
+	mu          sync.Mutex // guards working/fuser/seen/highWater/sinceCommit/pub
 	working     *core.Map
 	fuser       *incremental.Fuser
 	seen        map[string]map[uint64]struct{}
 	highWater   uint64
 	sinceCommit int
 	droppedObs  uint64 // DroppedInvalid from retired fusers
-	// tileSums is the checksum of every tile this service has put in the
-	// publish layer, so that a publish writes only the tiles a version
-	// changed. It starts empty: the first publish writes them all.
-	tileSums map[storage.TileKey]uint32
+	// pub remembers what this service put in the publish layer, so that
+	// a publish writes only the tiles a version changed; nil when
+	// nothing is published. The first publish writes them all.
+	pub *storage.Publisher
 
 	brMu     sync.Mutex
 	breakers map[string]*Breaker
@@ -231,11 +231,13 @@ func NewService(store *VersionStore, cfg Config) (*Service, error) {
 		quar:     NewQuarantine(cfg.QuarantineCap),
 		seen:     make(map[string]map[uint64]struct{}),
 		breakers: make(map[string]*Breaker),
-		tileSums: make(map[storage.TileKey]uint32),
 		log:      obs.OrNop(cfg.Log),
 		om:       newServiceMetrics(reg),
 		tracer:   cfg.Tracer,
 		events:   cfg.Events,
+	}
+	if p := cfg.Publish; p != nil && p.Store != nil {
+		s.pub = storage.NewPublisher(p.Tiler, p.Store, p.Layer)
 	}
 	if err := s.resetWorking(); err != nil {
 		return nil, err
@@ -502,8 +504,7 @@ func (s *Service) commitLocked(note string, parent *obs.Span) error {
 // parent is the span of the report that triggered the commit (nil for
 // explicit Commit/Rollback calls).
 func (s *Service) publishCurrent(v Version, parent *obs.Span) {
-	p := s.cfg.Publish
-	if p == nil || p.Store == nil {
+	if s.pub == nil {
 		return
 	}
 	frozen := s.store.Frozen()
@@ -512,7 +513,7 @@ func (s *Service) publishCurrent(v Version, parent *obs.Span) {
 	}
 	psp := parent.StartChild("publish")
 	publishStart := time.Now()
-	_, err := p.Tiler.SyncMap(p.Store, frozen, p.Layer, s.tileSums)
+	_, err := s.pub.Sync(frozen)
 	publishDur := time.Since(publishStart)
 	s.om.stage.With("publish").Observe(publishDur.Seconds())
 	if err != nil {

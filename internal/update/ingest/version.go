@@ -113,11 +113,13 @@ type VersionStore struct {
 	versions []archived
 	current  int       // current seq, 0 = none
 	frozen   *core.Map // decoded current, indexes frozen, read-only
-	// verified is the gate's constraint-engine report of frozen, kept
-	// from the commit that made it so the next commit's check can start
-	// from it; nil when frozen was decoded from the archive instead
-	// (on open, after Rollback).
+	// verified and encoded are the gate's constraint-engine report of
+	// frozen and its archive encoding with the position of every record,
+	// kept from the commit that made frozen so that the next commit can
+	// start from them; nil when frozen was decoded from the archive
+	// instead (on open, after Rollback).
 	verified *mapverify.Report
+	encoded  *storage.Encoding
 	metrics  *gateMetrics
 }
 
@@ -251,16 +253,33 @@ func writeFileAtomic(path string, data []byte) error {
 // failure nothing is stored and the error is a *GateError listing every
 // violated invariant. The commit is atomic: a version is either fully
 // archived and current, or absent.
+//
+// What m changed is worked out once, and the gate's constraint engine,
+// the next snapshot and the archive encoding are each made from the
+// current version's by redoing that much; a first commit does all
+// three in full. Nothing of the new version is kept unless it persists.
 func (vs *VersionStore) Commit(m *core.Map, note string) (Version, error) {
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
 	vs.metrics.checked.Inc()
-	viol, verified := checkCommit(vs.frozen, vs.verified, m, vs.gate)
+	var ch core.Changes
+	if vs.frozen != nil {
+		ch = m.ChangedFrom(vs.frozen)
+	}
+	viol, verified := checkCommit(vs.frozen, vs.verified, m, ch, vs.gate)
 	if len(viol) > 0 {
 		vs.metrics.observe(viol)
 		return Version{}, &GateError{Violations: viol}
 	}
-	data := storage.EncodeBinary(m)
+	var frozen *core.Map
+	if vs.frozen != nil {
+		frozen = vs.frozen.Successor(m, ch)
+	} else {
+		frozen = m.Clone()
+		frozen.FreezeIndexes()
+	}
+	encoded := storage.EncodeFrom(vs.encoded, frozen, ch)
+	data := encoded.Bytes
 	info := Version{
 		Seq:      len(vs.versions) + 1,
 		Clock:    m.Clock,
@@ -269,8 +288,6 @@ func (vs *VersionStore) Commit(m *core.Map, note string) (Version, error) {
 		Checksum: storage.Checksum(data),
 		Note:     note,
 	}
-	frozen := m.Clone()
-	frozen.FreezeIndexes()
 	vs.versions = append(vs.versions, archived{info: info, data: data})
 	prevCurrent := vs.current
 	vs.current = info.Seq
@@ -279,7 +296,7 @@ func (vs *VersionStore) Commit(m *core.Map, note string) (Version, error) {
 		vs.current = prevCurrent
 		return Version{}, err
 	}
-	vs.frozen, vs.verified = frozen, verified
+	vs.frozen, vs.verified, vs.encoded = frozen, verified, encoded
 	return info, nil
 }
 
@@ -309,7 +326,7 @@ func (vs *VersionStore) Rollback(n int) (Version, error) {
 		vs.current = prev
 		return Version{}, err
 	}
-	vs.frozen, vs.verified = m, nil
+	vs.frozen, vs.verified, vs.encoded = m, nil, nil
 	return a.info, nil
 }
 
