@@ -121,6 +121,9 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzTombstoneDecode -fuzztime=$(FUZZTIME) ./internal/storage
 	$(GO) test -run='^$$' -fuzz=FuzzParseTileKey -fuzztime=$(FUZZTIME) ./internal/storage
 	$(GO) test -run='^$$' -fuzz=FuzzEncodeFrom -fuzztime=$(FUZZTIME) ./internal/storage
+	$(GO) test -run='^$$' -fuzz=FuzzParseReplicaState -fuzztime=$(FUZZTIME) ./internal/storage
+	$(GO) test -run='^$$' -fuzz=FuzzParseTileWindow -fuzztime=$(FUZZTIME) ./internal/storage
+	$(GO) test -run='^$$' -fuzz=FuzzManifestEntryState -fuzztime=$(FUZZTIME) ./internal/storage
 	$(GO) test -run='^$$' -fuzz=FuzzTrainBoost -fuzztime=$(FUZZTIME) ./internal/update/crowdupdate
 	$(GO) test -run='^$$' -fuzz=FuzzSanitizeTraceID -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz=FuzzVerifyMap -fuzztime=$(FUZZTIME) ./internal/mapverify

@@ -433,8 +433,8 @@ func cmdFetch(ctx context.Context, args []string) error {
 	if health.Degraded {
 		status = "DEGRADED"
 	}
-	fmt.Printf("fetched %s region [%d,%d]x[%d,%d]: %d tiles (%d fresh, %d stale, %d missing) — %s\n",
-		*layer, *tx0, *ty0, *tx1, *ty1, health.Requested, health.Fresh, health.Stale, len(health.Missing), status)
+	fmt.Printf("fetched %s region [%d,%d]x[%d,%d]: %d tiles (%d fresh, %d revalidated, %d stale, %d missing) — %s\n",
+		*layer, *tx0, *ty0, *tx1, *ty1, health.Requested, health.Fresh, health.Revalidated, health.Stale, len(health.Missing), status)
 	fmt.Printf("wrote %s (%d elements)\n", *out, m.NumElements())
 	return nil
 }

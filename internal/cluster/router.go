@@ -1784,40 +1784,86 @@ func (rt *Router) handleLayers(w http.ResponseWriter, r *http.Request, span *obs
 }
 
 // handleList merges a layer's tile listing across all live nodes; a
-// bbox window is validated here and filtered at the shards.
+// bbox window is validated here and filtered at the shards, and state=1
+// is forwarded, which makes the answer a manifest: each key with the
+// freshest state any shard listed it in (mergeManifests).
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request, span *obs.Span, layer string) {
 	rt.stats.reads.Inc()
 	if storage.IsInternalLayer(layer) {
 		rt.clientError(w, http.StatusNotFound, "not found")
 		return
 	}
-	path := "/v1/tiles/" + url.PathEscape(layer)
-	if v := r.URL.Query().Get("bbox"); v != "" {
+	q := r.URL.Query()
+	var query []string
+	if v := q.Get("bbox"); v != "" {
 		win, err := storage.ParseTileWindow(v)
 		if err != nil {
 			rt.clientError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		path += "?bbox=" + win.String()
+		query = append(query, "bbox="+win.String())
 	}
-	type entry struct {
-		TX int32 `json:"tx"`
-		TY int32 `json:"ty"`
+	if q.Get("state") == "1" {
+		query = append(query, "state=1")
 	}
-	lists := gather[entry](rt, r, span, "shard.list", path)
+	path := "/v1/tiles/" + url.PathEscape(layer)
+	if len(query) > 0 {
+		path += "?" + strings.Join(query, "&")
+	}
+	lists := gather[storage.ManifestEntry](rt, r, span, "shard.list", path)
 	if len(lists) == 0 {
 		span.Fail("no node answered list")
 		rt.shed(w, span, "no node reachable")
 		return
 	}
-	seen := map[entry]bool{}
-	merged := []entry{}
+	rt.stats.served.Inc()
+	rt.writeJSON(w, mergeManifests(lists))
+}
+
+// mergeManifests lists every key some shard listed, once, ordered by
+// (TX, TY), under the state a read of all those shards would answer
+// with: states order by ReplicaState.Compare, as the read's winnerOf
+// orders them, and the freshest wins. A key whose winner is a deletion
+// marker is not listed. A key is listed without a state — its reader
+// fetches it — when only the payload bytes could name the winner (same
+// kind and clock, different checksums) and when a shard listed it with
+// no state a shard can hold: that shard may have the freshest copy.
+// Plain listings carry no state at all, and merge to their union.
+func mergeManifests(lists [][]storage.ManifestEntry) []storage.ManifestEntry {
+	type coord struct{ tx, ty int32 }
+	type best struct {
+		st      storage.ReplicaState
+		unknown bool // some shard's state is not known, or a tie is not broken
+	}
+	byKey := map[coord]best{}
 	for _, list := range lists {
 		for _, e := range list {
-			if !seen[e] {
-				seen[e] = true
-				merged = append(merged, e)
+			k := coord{e.TX, e.TY}
+			st, ok := e.ReplicaState()
+			b, seen := byKey[k]
+			switch {
+			case !seen:
+				b = best{st: st, unknown: !ok}
+			case !ok:
+				b = best{unknown: true}
+			case b.st.Present(): // else a stateless listing stays one
+				if c, ordered := st.Compare(b.st); !ordered {
+					b.unknown = true
+				} else if c > 0 {
+					b = best{st: st}
+				}
 			}
+			byKey[k] = b
+		}
+	}
+	merged := make([]storage.ManifestEntry, 0, len(byKey))
+	for k, b := range byKey {
+		switch {
+		case b.st.Tomb: // two markers of one clock tie, and the key is deleted either way
+		case b.unknown:
+			merged = append(merged, storage.ManifestEntry{TX: k.tx, TY: k.ty})
+		default:
+			merged = append(merged, storage.ManifestEntry{TX: k.tx, TY: k.ty, State: b.st.String()})
 		}
 	}
 	sort.Slice(merged, func(i, j int) bool {
@@ -1826,8 +1872,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request, span *obs.S
 		}
 		return merged[i].TY < merged[j].TY
 	})
-	rt.stats.served.Inc()
-	rt.writeJSON(w, merged)
+	return merged
 }
 
 // shardJSON fetches one node's JSON metadata endpoint.

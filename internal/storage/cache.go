@@ -21,8 +21,13 @@ type TileCache struct {
 }
 
 type cacheEntry struct {
-	key      TileKey
-	data     []byte
+	key  TileKey
+	data []byte
+	// state is what the server said of the tile when data was fetched:
+	// its clock and the checksum data was verified against. The zero
+	// state (absent) is a payload nobody vouched for; it equals no state
+	// a manifest lists.
+	state    ReplicaState
 	storedAt time.Time
 }
 
@@ -38,7 +43,12 @@ func NewTileCache(max int) *TileCache {
 // Put stores (a copy of) a tile payload as the last-known-good version
 // for its key, evicting the least recently used entry when full.
 func (c *TileCache) Put(key TileKey, data []byte) {
-	e := &cacheEntry{key: key, data: append([]byte(nil), data...), storedAt: time.Now()}
+	c.put(key, data, ReplicaState{})
+}
+
+// put is Put for a payload fetched under state.
+func (c *TileCache) put(key TileKey, data []byte, state ReplicaState) {
+	e := &cacheEntry{key: key, data: append([]byte(nil), data...), state: state, storedAt: time.Now()}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.tiles[key]; ok {
@@ -58,15 +68,24 @@ func (c *TileCache) Put(key TileKey, data []byte) {
 // was present. A hit refreshes recency. The slice is the cache's own
 // copy, shared with every other reader of the key: it is read-only.
 func (c *TileCache) Get(key TileKey) ([]byte, time.Time, bool) {
+	e := c.get(key)
+	if e == nil {
+		return nil, time.Time{}, false
+	}
+	return e.data, e.storedAt, true
+}
+
+// get is Get returning the whole entry, nil on a miss. Entries are never
+// written once stored.
+func (c *TileCache) get(key TileKey) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.tiles[key]
 	if !ok {
-		return nil, time.Time{}, false
+		return nil
 	}
 	c.order.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
-	return e.data, e.storedAt, true
+	return el.Value.(*cacheEntry)
 }
 
 // Keys lists cached tiles of a layer in Morton order — the offline

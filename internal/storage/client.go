@@ -110,7 +110,9 @@ type Client struct {
 	Timeout time.Duration
 	// Cache, when set, keeps last-known-good tiles so FetchRegion can
 	// degrade to stale data instead of failing when the server is
-	// unreachable.
+	// unreachable — and, while it is reachable, skip the download of
+	// every tile the region's manifest lists in the state it was cached
+	// under.
 	Cache *TileCache
 	// ClientID, when set, is sent as X-Client-Id on every request so an
 	// overload-protected server can rate-limit per vehicle rather than
@@ -186,6 +188,10 @@ type clientMetrics struct {
 	integrityFailures *obs.Counter
 	// failovers counts endpoint rotations after transient failures.
 	failovers *obs.Counter
+	// revalidated counts region tiles served from the Cache with no
+	// request, because the manifest listed the state they were cached
+	// under.
+	revalidated *obs.Counter
 }
 
 func (c *Client) metrics() *clientMetrics {
@@ -200,6 +206,7 @@ func (c *Client) metrics() *clientMetrics {
 			retryAfterWaits:   reg.Counter("storage.client.retry_after_waits"),
 			integrityFailures: reg.Counter("storage.client.integrity_failures"),
 			failovers:         reg.Counter("storage.client.failovers"),
+			revalidated:       reg.Counter("storage.client.revalidated"),
 		}
 	})
 	return &c.cm
@@ -499,6 +506,7 @@ func (c *Client) getTile(ctx context.Context, budget *int, key TileKey) ([]byte,
 	start := time.Now()
 	var data []byte
 	var tile *core.Map
+	var sum string // the checksum header data was verified against
 	err := c.doRetry(ctx, budget, "get tile", func(ctx context.Context, base string) error {
 		req, err := c.newRequest(ctx, http.MethodGet, base+c.tilePath(key), nil)
 		if err != nil {
@@ -534,7 +542,7 @@ func (c *Client) getTile(ctx context.Context, budget *int, key TileKey) ([]byte,
 			c.metrics().integrityFailures.Inc()
 			return transient(fmt.Errorf("%v: invalid tile payload: %w", key, derr))
 		}
-		data, tile = body, m
+		data, tile, sum = body, m, resp.Header.Get(ChecksumHeader)
 		return nil
 	})
 	if err != nil {
@@ -550,7 +558,11 @@ func (c *Client) getTile(ctx context.Context, budget *int, key TileKey) ([]byte,
 		slog.Int("bytes", len(data)), slog.Duration("dur", time.Since(start)))
 	osp.End()
 	if c.Cache != nil {
-		c.Cache.Put(key, data)
+		var served ReplicaState // absent: a server that sent no checksum vouched for nothing
+		if sum != "" {
+			served = ReplicaState{Found: true, Clock: tile.Clock, Sum: sum}
+		}
+		c.Cache.put(key, data, served)
 	}
 	return data, tile, nil
 }
@@ -606,6 +618,10 @@ type RegionHealth struct {
 	Requested int
 	// Fresh, Stale count tiles by provenance.
 	Fresh, Stale int
+	// Revalidated counts the Fresh tiles that were not downloaded: the
+	// server's manifest listed them in the very state (clock and
+	// write-time checksum) the Cache holds them in.
+	Revalidated int
 	// Missing lists tiles neither the server nor the cache had.
 	Missing []TileKey
 	// Degraded is true when anything other than a fully fresh region
@@ -642,39 +658,46 @@ func (c *Client) FetchRegion(ctx context.Context, layer string, tx0, ty0, tx1, t
 	health := &RegionHealth{}
 	budget := c.Retry.budget()
 
-	var listed []struct {
-		TX int32 `json:"tx"`
-		TY int32 `json:"ty"`
-	}
-	keys := make([]TileKey, 0)
 	// The server is asked for the window only; the filter below stays,
 	// so a server that ignores bbox (an older build) still yields the
-	// right region.
+	// right region. Only a client with a Cache asks for states: it is the
+	// only one that can use them.
 	win := TileWindow{TX0: tx0, TY0: ty0, TX1: tx1, TY1: ty1}
-	err := c.getJSON(ctx, &budget, "list tiles", "/v1/tiles/"+layer+"?bbox="+win.String(), &listed)
-	if err == nil {
-		for _, k := range listed {
-			if win.Contains(k.TX, k.TY) {
-				keys = append(keys, TileKey{Layer: layer, TX: k.TX, TY: k.TY})
-			}
-		}
-	} else {
+	path := "/v1/tiles/" + layer + "?bbox=" + win.String()
+	if c.Cache != nil {
+		path += "&state=1"
+	}
+	var listed []ManifestEntry
+	err := c.getJSON(ctx, &budget, "list tiles", path, &listed)
+	if err != nil {
 		if ctx.Err() != nil || c.Cache == nil {
 			return nil, nil, err
 		}
 		// Server unreachable: degrade to the cache's view of the region.
 		health.Degraded = true
 		health.addError(err)
+		listed = listed[:0]
 		for _, k := range c.Cache.Keys(layer) {
 			if win.Contains(k.TX, k.TY) {
-				keys = append(keys, k)
+				listed = append(listed, ManifestEntry{TX: k.TX, TY: k.TY})
 			}
 		}
 	}
-	health.Requested = len(keys)
 
-	tiles := make([]*core.Map, 0, len(keys))
-	for _, key := range keys {
+	tiles := make([]*core.Map, 0, len(listed))
+	for _, e := range listed {
+		st, _ := e.ReplicaState() // absent when the entry carries none
+		if !win.Contains(e.TX, e.TY) || st.Tomb {
+			continue // a marker is a deleted tile, not one to fetch
+		}
+		health.Requested++
+		key := TileKey{Layer: layer, TX: e.TX, TY: e.TY}
+		if tile := c.revalidated(key, st); tile != nil {
+			health.Fresh++
+			health.Revalidated++
+			tiles = append(tiles, tile)
+			continue
+		}
 		_, tile, err := c.getTile(ctx, &budget, key)
 		switch {
 		case err == nil:
@@ -696,6 +719,8 @@ func (c *Client) FetchRegion(ctx context.Context, layer string, tx0, ty0, tx1, t
 		}
 		tiles = append(tiles, tile)
 	}
+	c.metrics().revalidated.Add(uint64(health.Revalidated))
+	rsp.SetAttrInt("revalidated", int64(health.Revalidated))
 	if health.Fresh+health.Stale == 0 {
 		if len(health.Errors) > 0 {
 			return nil, nil, fmt.Errorf("region unavailable (%d tiles failed): %w", len(health.Missing), health.Errors[0])
@@ -707,6 +732,27 @@ func (c *Client) FetchRegion(ctx context.Context, layer string, tx0, ty0, tx1, t
 		return nil, nil, err
 	}
 	return m, health, nil
+}
+
+// revalidated decodes the Cache's copy of a tile the manifest lists in
+// the state that copy was fetched under — same clock, same write-time
+// checksum, and the copy was verified against that checksum and decoded
+// when it was stored — so the server would send these bytes again. Nil
+// when the manifest gave no state, or another, when nothing is cached,
+// and when the cached bytes no longer decode: the tile is then fetched.
+func (c *Client) revalidated(key TileKey, listed ReplicaState) *core.Map {
+	if c.Cache == nil || !listed.Found {
+		return nil
+	}
+	cached := c.Cache.get(key)
+	if cached == nil || cached.state != listed {
+		return nil
+	}
+	tile, err := DecodeBinary(cached.data)
+	if err != nil {
+		return nil
+	}
+	return tile
 }
 
 // staleTile decodes the cache's last-known-good copy of a tile the

@@ -8,6 +8,8 @@ import (
 	"hash/crc32"
 	"io"
 	"net/http"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -80,6 +82,10 @@ func ReadBody(body io.Reader, contentLength, limit int64) ([]byte, error) {
 //	GET    /v1/tiles/{layer}?bbox=tx0,ty0,tx1,ty1
 //	                                     -> the same, only keys inside
 //	                                        the inclusive tile window
+//	GET    /v1/tiles/{layer}?bbox=...&state=1
+//	                                     -> the window's manifest: each
+//	                                        entry with "state", deleted
+//	                                        keys included as tomb:<clock>
 //	GET    /v1/tiles/{layer}/{tx}/{ty}   -> tile bytes (binary map)
 //	HEAD   /v1/tiles/{layer}/{tx}/{ty}   -> StateHeader, no body
 //	PUT    /v1/tiles/{layer}/{tx}/{ty}   <- tile bytes
@@ -278,13 +284,47 @@ func ParseTileWindow(v string) (TileWindow, error) {
 	return TileWindow{TX0: c[0], TY0: c[1], TX1: c[2], TY1: c[3]}, nil
 }
 
+// ManifestEntry is one element of a layer listing. State is set only in
+// the answer to a state=1 query: the key's ReplicaState.String() as a
+// HEAD probe of it would report it.
+type ManifestEntry struct {
+	TX    int32  `json:"tx"`
+	TY    int32  `json:"ty"`
+	State string `json:"state,omitempty"`
+}
+
+// maxStateLen bounds a state a listing is believed to carry:
+// "live:" + 20 digits + ":" + 8 hex digits, with room to spare.
+const maxStateLen = 64
+
+// ReplicaState is the state the entry carries, ok only if it names a live
+// tile or a deletion marker. Anything else — none, a forged or oversized
+// one — is an entry without a state: its reader fetches the tile.
+func (e ManifestEntry) ReplicaState() (st ReplicaState, ok bool) {
+	if e.State == "" || len(e.State) > maxStateLen {
+		return ReplicaState{}, false
+	}
+	st, err := ParseReplicaState(e.State)
+	return st, err == nil && st.Present()
+}
+
 // handleList lists a layer's keys; a bbox query keeps only the keys in
 // that window, so a region pull moves the nine entries it wants and not
 // the layer. The filter runs here over store.Keys rather than in the
-// store: TileStore stays five methods.
+// store: TileStore stays five methods, and both stores answer Keys from
+// memory, with a copy.
+//
+// With state=1 the listing is a manifest: every entry carries the state
+// a HEAD probe of the key would report, read the same way — from
+// sums/clocks/tombs, or through stateLocked the first time for a tile
+// loaded out of band — and the window's tombstoned keys are listed too,
+// as tomb:<clock>, so that a router merging manifests can tell a deleted
+// key from one this shard never had. Without it the answer is the plain
+// listing, byte for byte.
 func (s *TileServer) handleList(w http.ResponseWriter, r *http.Request, layer string) {
+	q := r.URL.Query()
 	var win *TileWindow
-	if v := r.URL.Query().Get("bbox"); v != "" {
+	if v := q.Get("bbox"); v != "" {
 		b, err := ParseTileWindow(v)
 		if err != nil {
 			writeJSONError(w, http.StatusBadRequest, err.Error())
@@ -292,22 +332,55 @@ func (s *TileServer) handleList(w http.ResponseWriter, r *http.Request, layer st
 		}
 		win = &b
 	}
+	states := q.Get("state") == "1"
 	s.mu.RLock()
 	keys, err := s.store.Keys(layer)
+	if win != nil { // keys is this call's own copy
+		keys = slices.DeleteFunc(keys, func(k TileKey) bool { return !win.Contains(k.TX, k.TY) })
+	}
+	out := make([]ManifestEntry, 0, len(keys))
+	var unknown []int // entries whose state the write-time caches do not hold
+	for _, k := range keys {
+		e := ManifestEntry{TX: k.TX, TY: k.TY}
+		if states {
+			if st, known := s.cachedStateLocked(k); known {
+				e.State = st.String()
+			} else {
+				unknown = append(unknown, len(out))
+			}
+		}
+		out = append(out, e)
+	}
+	live := len(out)
+	if states {
+		for k := range s.tombs {
+			if k.Layer == layer && (win == nil || win.Contains(k.TX, k.TY)) {
+				st, _ := s.cachedStateLocked(k)
+				out = append(out, ManifestEntry{TX: k.TX, TY: k.TY, State: st.String()})
+			}
+		}
+	}
 	s.mu.RUnlock()
 	if err != nil {
 		writeJSONError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	type entry struct {
-		TX int32 `json:"tx"`
-		TY int32 `json:"ty"`
-	}
-	out := make([]entry, 0, len(keys))
-	for _, k := range keys {
-		if win == nil || win.Contains(k.TX, k.TY) {
-			out = append(out, entry{TX: k.TX, TY: k.TY})
+	if len(unknown) > 0 {
+		s.mu.Lock()
+		for _, i := range unknown {
+			// A tile gone since the listing reads absent: no state, and
+			// the reader's GET finds out.
+			if st, _ := s.stateLocked(TileKey{Layer: layer, TX: out[i].TX, TY: out[i].TY}); st.Present() {
+				out[i].State = st.String()
+			}
 		}
+		s.mu.Unlock()
+	}
+	if len(out) > live {
+		// The markers came out of a map; the listing is in Morton order.
+		sort.Slice(out, func(i, j int) bool {
+			return TileKey{TX: out[i].TX, TY: out[i].TY}.Morton() < TileKey{TX: out[j].TX, TY: out[j].TY}.Morton()
+		})
 	}
 	writeJSON(w, out)
 }

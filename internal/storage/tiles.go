@@ -82,7 +82,8 @@ type TileStore interface {
 	Put(key TileKey, data []byte) error
 	// Get retrieves a tile; it returns ErrNoTile when absent.
 	Get(key TileKey) ([]byte, error)
-	// Keys lists all stored tiles of a layer in Morton order.
+	// Keys lists all stored tiles of a layer in Morton order. The slice
+	// is the caller's to keep and to write.
 	Keys(layer string) ([]TileKey, error)
 	// ListLayers names every layer with at least one tile, sorted.
 	ListLayers() ([]string, error)
@@ -90,15 +91,54 @@ type TileStore interface {
 	Delete(key TileKey) error
 }
 
+// layerKeys is the keys of one layer in Morton order, no key twice: what
+// Keys returns, kept in memory so that a listing reads no directory and
+// sorts nothing.
+type layerKeys []TileKey
+
+// find is where key is in ks, or where it would be inserted.
+func (ks layerKeys) find(key TileKey) (int, bool) {
+	m := key.Morton()
+	i := sort.Search(len(ks), func(i int) bool { return ks[i].Morton() >= m })
+	return i, i < len(ks) && ks[i].TX == key.TX && ks[i].TY == key.TY
+}
+
+func (ks layerKeys) with(key TileKey) layerKeys {
+	i, ok := ks.find(key)
+	if ok {
+		return ks
+	}
+	return slices.Insert(ks, i, key)
+}
+
+// forget takes key out of its layer's keys in index, and the layer out
+// of index with its last key: an index holds no empty layer.
+func forget(index map[string]layerKeys, key TileKey) {
+	ks, listed := index[key.Layer]
+	if !listed {
+		return
+	}
+	if i, ok := ks.find(key); ok {
+		ks = slices.Delete(ks, i, i+1)
+	}
+	if len(ks) > 0 {
+		index[key.Layer] = ks
+	} else {
+		delete(index, key.Layer)
+	}
+}
+
 // MemStore is an in-memory TileStore.
 type MemStore struct {
 	mu    sync.RWMutex
 	tiles map[TileKey][]byte
+	// keys lists the tiles by layer; a layer without tiles has no entry.
+	keys map[string]layerKeys
 }
 
 // NewMemStore creates an empty in-memory store.
 func NewMemStore() *MemStore {
-	return &MemStore{tiles: make(map[TileKey][]byte)}
+	return &MemStore{tiles: make(map[TileKey][]byte), keys: make(map[string]layerKeys)}
 }
 
 // Put implements TileStore.
@@ -107,6 +147,9 @@ func (s *MemStore) Put(key TileKey, data []byte) error {
 	defer s.mu.Unlock()
 	cp := make([]byte, len(data))
 	copy(cp, data)
+	if _, ok := s.tiles[key]; !ok {
+		s.keys[key.Layer] = s.keys[key.Layer].with(key)
+	}
 	s.tiles[key] = cp
 	return nil
 }
@@ -124,30 +167,19 @@ func (s *MemStore) Get(key TileKey) ([]byte, error) {
 	return cp, nil
 }
 
-// Keys implements TileStore.
+// Keys implements TileStore. The result is the caller's own copy.
 func (s *MemStore) Keys(layer string) ([]TileKey, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var out []TileKey
-	for k := range s.tiles {
-		if k.Layer == layer {
-			out = append(out, k)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Morton() < out[j].Morton() })
-	return out, nil
+	return slices.Clone(s.keys[layer]), nil
 }
 
 // ListLayers implements TileStore.
 func (s *MemStore) ListLayers() ([]string, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	seen := map[string]bool{}
-	for k := range s.tiles {
-		seen[k.Layer] = true
-	}
-	out := make([]string, 0, len(seen))
-	for l := range seen {
+	out := make([]string, 0, len(s.keys))
+	for l := range s.keys {
 		out = append(out, l)
 	}
 	sortStrings(out)
@@ -158,14 +190,29 @@ func (s *MemStore) ListLayers() ([]string, error) {
 func (s *MemStore) Delete(key TileKey) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if _, ok := s.tiles[key]; !ok {
+		return nil
+	}
 	delete(s.tiles, key)
+	forget(s.keys, key)
 	return nil
 }
 
 // DirStore is a directory-backed TileStore: one file per tile,
-// layer/morton.tile.
+// layer/morton.tile. While it is open the store owns its directory: a
+// tile file another process drops in is served by Get at once but listed
+// only after the store is opened again.
 type DirStore struct {
 	root string
+
+	// mu orders every change of a layer directory's tile set (the rename
+	// that lands a Put, the remove of a Delete) with the listing that
+	// reads it, so that layers never misses a tile or keeps a removed one.
+	mu sync.Mutex
+	// layers holds the keys of each layer listed so far that had a tile —
+	// read off the directory once, then kept by Put and Delete. A layer
+	// that is absent or empty has no entry, whoever asks for it.
+	layers map[string]layerKeys
 }
 
 // NewDirStore creates (if needed) and opens a directory store.
@@ -243,7 +290,10 @@ func (s *DirStore) path(key TileKey) (string, error) {
 	return filepath.Join(dir, tileFile(key)), nil
 }
 
-// Put implements TileStore.
+// Put implements TileStore. The bytes are written to a temporary file of
+// the writer's own and renamed into place, so concurrent Puts of one key
+// leave one writer's payload whole. The temporary name never ends in
+// ".tile": a torn one is not listed.
 func (s *DirStore) Put(key TileKey, data []byte) error {
 	path, err := s.path(key)
 	if err != nil {
@@ -252,14 +302,40 @@ func (s *DirStore) Put(key TileKey, data []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("storage: put %v: %w", key, err)
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	tmp, err := writeTemp(path, data)
+	if err != nil {
 		return fmt.Errorf("storage: put %v: %w", key, err)
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := os.Rename(tmp, path); err != nil {
+		_ = os.Remove(tmp) // nothing to do about a leftover; it is never listed
 		return fmt.Errorf("storage: put %v: %w", key, err)
+	}
+	if ks, listed := s.layers[key.Layer]; listed {
+		s.layers[key.Layer] = ks.with(key)
 	}
 	return nil
+}
+
+// writeTemp writes data to a new file beside path and returns its name.
+func writeTemp(path string, data []byte) (string, error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return "", err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Chmod(0o644) // CreateTemp makes it 0600; a tile is as readable as before
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		_ = os.Remove(f.Name()) // as in Put
+		return "", err
+	}
+	return f.Name(), nil
 }
 
 // Get implements TileStore.
@@ -278,9 +354,22 @@ func (s *DirStore) Get(key TileKey) ([]byte, error) {
 	return data, nil
 }
 
-// Keys implements TileStore. One directory read: ReadDir returns the
-// names sorted, which for tile files is Morton order already.
+// Keys implements TileStore. The result is the caller's own copy.
 func (s *DirStore) Keys(layer string) ([]TileKey, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ks, err := s.keysLocked(layer)
+	return slices.Clone(ks), err
+}
+
+// keysLocked returns the layer's keys as the store keeps them — not to be
+// written or kept past mu. A layer not listed before costs one directory
+// read: ReadDir returns the names sorted, which for tile files is Morton
+// order already.
+func (s *DirStore) keysLocked(layer string) (layerKeys, error) {
+	if ks, listed := s.layers[layer]; listed {
+		return ks, nil
+	}
 	dir, err := s.dir(layer)
 	if err != nil {
 		return nil, fmt.Errorf("storage: keys: %w", err)
@@ -292,13 +381,19 @@ func (s *DirStore) Keys(layer string) ([]TileKey, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: keys %q: %w", layer, err)
 	}
-	var out []TileKey
+	var ks layerKeys
 	for _, e := range ents {
 		if tx, ty, ok := parseTileFile(e.Name()); ok {
-			out = append(out, TileKey{Layer: layer, TX: tx, TY: ty})
+			ks = append(ks, TileKey{Layer: layer, TX: tx, TY: ty})
 		}
 	}
-	return out, nil
+	if len(ks) > 0 {
+		if s.layers == nil {
+			s.layers = make(map[string]layerKeys)
+		}
+		s.layers[layer] = ks
+	}
+	return ks, nil
 }
 
 // ListLayers implements TileStore. A layer is any subdirectory holding
@@ -311,13 +406,15 @@ func (s *DirStore) ListLayers() ([]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: list layers: %w", err)
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var out []string
 	for _, e := range ents {
 		if !e.IsDir() {
 			continue
 		}
-		keys, err := s.Keys(e.Name())
-		if err == nil && len(keys) > 0 {
+		ks, err := s.keysLocked(e.Name())
+		if err == nil && len(ks) > 0 {
 			out = append(out, e.Name())
 		}
 	}
@@ -331,11 +428,13 @@ func (s *DirStore) Delete(key TileKey) error {
 	if err != nil {
 		return fmt.Errorf("storage: delete %v: %w", key, err)
 	}
-	err = os.Remove(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
 	}
-	return err
+	forget(s.layers, key)
+	return nil
 }
 
 // Tiler splits maps into fixed-size square tiles and reassembles them.
@@ -733,9 +832,16 @@ func (t Tiler) LoadMap(store TileStore, layer, name string) (*core.Map, error) {
 }
 
 // stitch merges decoded tile maps into one map, in the order given.
-// The tile maps are consumed: the result owns their elements.
+// The tile maps are consumed: the result owns their elements. Its tables
+// are sized for the region once, not rehashed as each tile arrives.
 func stitch(name string, tiles []*core.Map) (*core.Map, error) {
 	out := core.NewMap(name)
+	var points, lines, areas, lanelets, bundles, regs int
+	for _, tm := range tiles {
+		p, l, a, ll, b, r := tm.Counts()
+		points, lines, areas, lanelets, bundles, regs = points+p, lines+l, areas+a, lanelets+ll, bundles+b, regs+r
+	}
+	out.Reserve(points, lines, areas, lanelets, bundles, regs)
 	for _, tm := range tiles {
 		if err := out.Absorb(tm); err != nil {
 			return nil, err
