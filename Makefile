@@ -124,6 +124,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseReplicaState -fuzztime=$(FUZZTIME) ./internal/storage
 	$(GO) test -run='^$$' -fuzz=FuzzParseTileWindow -fuzztime=$(FUZZTIME) ./internal/storage
 	$(GO) test -run='^$$' -fuzz=FuzzManifestEntryState -fuzztime=$(FUZZTIME) ./internal/storage
+	$(GO) test -run='^$$' -fuzz=FuzzRegionLanding -fuzztime=$(FUZZTIME) ./internal/storage
 	$(GO) test -run='^$$' -fuzz=FuzzTrainBoost -fuzztime=$(FUZZTIME) ./internal/update/crowdupdate
 	$(GO) test -run='^$$' -fuzz=FuzzSanitizeTraceID -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz=FuzzVerifyMap -fuzztime=$(FUZZTIME) ./internal/mapverify

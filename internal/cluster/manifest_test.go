@@ -377,7 +377,7 @@ func TestRevalidatedPullBudget(t *testing.T) {
 		t.Errorf("%d revalidated pulls cost the router %d requests", pulls+1, got)
 	}
 	t.Logf("a fully revalidated 3x3 pull allocates %.0f times", allocs)
-	if limit := 650.0; allocs > limit && !raceEnabled {
+	if limit := 542.0; allocs > limit && !raceEnabled { // 493 measured, plus a tenth
 		t.Errorf("allocations over budget %.0f", limit)
 	}
 	// A tile that changes costs its own download, and no other's.

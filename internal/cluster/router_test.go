@@ -509,7 +509,13 @@ func TestRouterRejectsBadRequests(t *testing.T) {
 		{http.MethodPost, "/v1/tiles/base/1/0", nil, nil, http.StatusMethodNotAllowed},
 		{http.MethodPut, "/v1/tiles/base/1/0", []byte("not a tile"), nil, http.StatusUnprocessableEntity},
 		{http.MethodPut, "/v1/tiles/base/1/0", tileBytes(1, 1), map[string]string{storage.ChecksumHeader: "deadbeef"}, http.StatusBadRequest},
+		// Handoff and tombstone layers are not addressed through the router,
+		// to read or to write.
 		{http.MethodGet, "/v1/tiles/hint--node0--base/1/0", nil, nil, http.StatusNotFound},
+		{http.MethodPut, "/v1/tiles/hint--node0--base/1/0", tileBytes(1, 1), nil, http.StatusNotFound},
+		{http.MethodDelete, "/v1/tiles/hint--node0--base/1/0", nil, nil, http.StatusNotFound},
+		{http.MethodPut, "/v1/tiles/tomb--base/1/0", tileBytes(1, 1), nil, http.StatusNotFound},
+		{http.MethodDelete, "/v1/tiles/tomb--base/1/0", nil, nil, http.StatusNotFound},
 		{http.MethodGet, "/v1/nope", nil, nil, http.StatusNotFound},
 		// A layer is one plain path element, however it is spelled.
 		{http.MethodPut, "/v1/tiles/%2e%2e/0/0", tileBytes(1, 1), nil, http.StatusBadRequest},

@@ -273,19 +273,19 @@ func TestIDAccessorsFollowEveryChange(t *testing.T) {
 	checkIDs(t, m, "after restores")
 
 	m.FreezeIndexes()
-	src := NewMap("src")
+	var src Slabs
 	for id := ID(2000); id < 2006; id++ {
-		_ = src.RestorePoint(PointElement{ID: id})
-		_ = src.RestoreLine(LineElement{ID: id})
-		_ = src.RestoreArea(AreaElement{ID: id})
-		_ = src.RestoreLanelet(Lanelet{ID: id})
-		_ = src.RestoreBundle(LaneBundle{ID: id})
-		_ = src.RestoreRegulatory(RegulatoryElement{ID: id})
+		src.Points = append(src.Points, PointElement{ID: id})
+		src.Lines = append(src.Lines, LineElement{ID: id})
+		src.Areas = append(src.Areas, AreaElement{ID: id})
+		src.Lanelets = append(src.Lanelets, Lanelet{ID: id})
+		src.Bundles = append(src.Bundles, LaneBundle{ID: id})
+		src.Regulatory = append(src.Regulatory, RegulatoryElement{ID: id})
 	}
-	if err := m.Absorb(src); err != nil {
+	if err := m.RestoreSlabs(&src); err != nil {
 		t.Fatal(err)
 	}
-	checkIDs(t, m, "after absorb")
+	checkIDs(t, m, "after a bulk restore")
 	m.FreezeIndexes()
 	checkIDs(t, m, "frozen again")
 }

@@ -138,45 +138,144 @@ func sized[T any](table map[ID]*T, n int) map[ID]*T {
 	return make(map[ID]*T, n)
 }
 
-// Absorb moves every element of src into m, IDs and metadata untouched,
-// and raises m's clock to src's if that is later. An ID both maps hold
-// is ErrIDTaken. src is consumed: m takes over its element structs
-// (nothing is copied), so src must not be used afterwards, on success
-// or failure.
-func (m *Map) Absorb(src *Map) error {
-	if src.Clock > m.Clock {
-		m.Clock = src.Clock
+// Slabs is a batch of elements to restore together, one slice per kind:
+// what a decoder makes of one payload.
+type Slabs struct {
+	Points     []PointElement
+	Lines      []LineElement
+	Areas      []AreaElement
+	Lanelets   []Lanelet
+	Bundles    []LaneBundle
+	Regulatory []RegulatoryElement
+}
+
+// RestoreSlabs inserts every element of s, IDs and metadata untouched,
+// by address: nothing is copied, the map's elements of one kind are the
+// elements of s's slice of that kind, which the caller must not use
+// again. It inserts all of them or none: NilID is ErrInvalidElement, an
+// ID the map already holds, or s holds twice, is ErrIDTaken, and either
+// leaves the map as it was.
+func (m *Map) RestoreSlabs(s *Slabs) error {
+	for i := range s.Lines {
+		s.Lines[i].invalidate()
 	}
-	if src.nextID > m.nextID {
-		m.nextID = src.nextID
+	for i := range s.Lanelets {
+		s.Lanelets[i].invalidate()
+	}
+	nextID := m.nextID
+	var done [6]int // how many elements of each slice are in the map
+	err := m.restoreSlabs(s, &done)
+	if err != nil {
+		unrestore(m.points, s.Points[:done[0]], pointID)
+		unrestore(m.lines, s.Lines[:done[1]], lineID)
+		unrestore(m.areas, s.Areas[:done[2]], areaID)
+		unrestore(m.lanelets, s.Lanelets[:done[3]], laneletID)
+		unrestore(m.bundles, s.Bundles[:done[4]], bundleID)
+		unrestore(m.regs, s.Regulatory[:done[5]], regulatoryID)
+		m.nextID = nextID
+		return err
 	}
 	m.indexDirty = true
 	m.pointOrder, m.lineOrder, m.areaOrder = nil, nil, nil
 	m.laneletOrder, m.bundleOrder, m.regOrder = nil, nil, nil
-	if err := absorb(m.points, src.points, "point"); err != nil {
-		return err
-	}
-	if err := absorb(m.lines, src.lines, "line"); err != nil {
-		return err
-	}
-	if err := absorb(m.areas, src.areas, "area"); err != nil {
-		return err
-	}
-	if err := absorb(m.lanelets, src.lanelets, "lanelet"); err != nil {
-		return err
-	}
-	if err := absorb(m.bundles, src.bundles, "bundle"); err != nil {
-		return err
-	}
-	return absorb(m.regs, src.regs, "regulatory")
+	return nil
 }
 
-func absorb[T any](dst, src map[ID]*T, kind string) error {
-	for id, e := range src {
-		if _, ok := dst[id]; ok {
-			return fmt.Errorf("restore %s %d: %w", kind, id, ErrIDTaken)
+// Check reports what would stop RestoreSlabs from restoring s into an
+// empty map: an element with NilID (ErrInvalidElement), or two of a kind
+// with one ID (ErrIDTaken). A decoder runs it once on what it parsed, so
+// that a payload is refused before any of it is in a map.
+func (s *Slabs) Check() error {
+	if err := checkSlab(s.Points, pointID, "point"); err != nil {
+		return err
+	}
+	if err := checkSlab(s.Lines, lineID, "line"); err != nil {
+		return err
+	}
+	if err := checkSlab(s.Areas, areaID, "area"); err != nil {
+		return err
+	}
+	if err := checkSlab(s.Lanelets, laneletID, "lanelet"); err != nil {
+		return err
+	}
+	if err := checkSlab(s.Bundles, bundleID, "bundle"); err != nil {
+		return err
+	}
+	return checkSlab(s.Regulatory, regulatoryID, "regulatory")
+}
+
+// checkSlab looks for a repeated ID with a set only when the IDs are not
+// in ascending order, which an encoder always writes them in.
+func checkSlab[T any](slab []T, id func(*T) ID, kind string) error {
+	ascending := true
+	for i := range slab {
+		if id(&slab[i]) == NilID {
+			return fmt.Errorf("restore %s: %w", kind, ErrInvalidElement)
 		}
-		dst[id] = e
+		if i > 0 && id(&slab[i]) <= id(&slab[i-1]) {
+			ascending = false
+		}
+	}
+	if ascending {
+		return nil
+	}
+	seen := make(map[ID]struct{}, len(slab))
+	for i := range slab {
+		eid := id(&slab[i])
+		if _, dup := seen[eid]; dup {
+			return fmt.Errorf("restore %s %d: %w", kind, eid, ErrIDTaken)
+		}
+		seen[eid] = struct{}{}
 	}
 	return nil
+}
+
+func (m *Map) restoreSlabs(s *Slabs, done *[6]int) (err error) {
+	if done[0], err = restoreSlab(m, m.points, s.Points, pointID, "point"); err != nil {
+		return err
+	}
+	if done[1], err = restoreSlab(m, m.lines, s.Lines, lineID, "line"); err != nil {
+		return err
+	}
+	if done[2], err = restoreSlab(m, m.areas, s.Areas, areaID, "area"); err != nil {
+		return err
+	}
+	if done[3], err = restoreSlab(m, m.lanelets, s.Lanelets, laneletID, "lanelet"); err != nil {
+		return err
+	}
+	if done[4], err = restoreSlab(m, m.bundles, s.Bundles, bundleID, "bundle"); err != nil {
+		return err
+	}
+	done[5], err = restoreSlab(m, m.regs, s.Regulatory, regulatoryID, "regulatory")
+	return err
+}
+
+func pointID(e *PointElement) ID           { return e.ID }
+func lineID(e *LineElement) ID             { return e.ID }
+func areaID(e *AreaElement) ID             { return e.ID }
+func laneletID(e *Lanelet) ID              { return e.ID }
+func bundleID(e *LaneBundle) ID            { return e.ID }
+func regulatoryID(e *RegulatoryElement) ID { return e.ID }
+
+// restoreSlab inserts the elements of slab until one cannot be, and
+// returns how many it inserted.
+func restoreSlab[T any](m *Map, table map[ID]*T, slab []T, id func(*T) ID, kind string) (int, error) {
+	for i := range slab {
+		e := &slab[i]
+		eid := id(e)
+		if err := m.reserve(eid); err != nil {
+			return i, err
+		}
+		if _, ok := table[eid]; ok {
+			return i, fmt.Errorf("restore %s %d: %w", kind, eid, ErrIDTaken)
+		}
+		table[eid] = e
+	}
+	return len(slab), nil
+}
+
+func unrestore[T any](table map[ID]*T, slab []T, id func(*T) ID) {
+	for i := range slab {
+		delete(table, id(&slab[i]))
+	}
 }

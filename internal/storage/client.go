@@ -492,9 +492,9 @@ func (c *Client) GetTile(ctx context.Context, key TileKey) ([]byte, error) {
 	return data, err
 }
 
-// getTile returns the tile's bytes and the map its validation decoded
-// from them, so a caller that wants the map does not decode again.
-func (c *Client) getTile(ctx context.Context, budget *int, key TileKey) ([]byte, *core.Map, error) {
+// getTile returns the tile's bytes and what its validation parsed of
+// them, so a caller that wants the elements does not parse again.
+func (c *Client) getTile(ctx context.Context, budget *int, key TileKey) ([]byte, *parsedTile, error) {
 	// Every tile fetch is one traced operation: the ID minted (or
 	// inherited) here rides the TraceHeader of every attempt, so client
 	// and server logs join on it.
@@ -505,7 +505,7 @@ func (c *Client) getTile(ctx context.Context, budget *int, key TileKey) ([]byte,
 	osp.SetAttrInt("ty", int64(key.TY))
 	start := time.Now()
 	var data []byte
-	var tile *core.Map
+	var tile *parsedTile
 	var sum string // the checksum header data was verified against
 	err := c.doRetry(ctx, budget, "get tile", func(ctx context.Context, base string) error {
 		req, err := c.newRequest(ctx, http.MethodGet, base+c.tilePath(key), nil)
@@ -537,12 +537,12 @@ func (c *Client) getTile(ctx context.Context, budget *int, key TileKey) ([]byte,
 		// The checksum covers the wire, not the server's disk: a tile
 		// corrupted at rest checksums "correctly", so also require a
 		// structurally valid map before accepting the payload.
-		m, derr := DecodeBinary(body)
-		if derr != nil {
+		parsed, perr := parseTile(body)
+		if perr != nil {
 			c.metrics().integrityFailures.Inc()
-			return transient(fmt.Errorf("%v: invalid tile payload: %w", key, derr))
+			return transient(fmt.Errorf("%v: invalid tile payload: %w", key, perr))
 		}
-		data, tile, sum = body, m, resp.Header.Get(ChecksumHeader)
+		data, tile, sum = body, parsed, resp.Header.Get(ChecksumHeader)
 		return nil
 	})
 	if err != nil {
@@ -560,7 +560,7 @@ func (c *Client) getTile(ctx context.Context, budget *int, key TileKey) ([]byte,
 	if c.Cache != nil {
 		var served ReplicaState // absent: a server that sent no checksum vouched for nothing
 		if sum != "" {
-			served = ReplicaState{Found: true, Clock: tile.Clock, Sum: sum}
+			served = ReplicaState{Found: true, Clock: tile.clock, Sum: sum}
 		}
 		c.Cache.put(key, data, served)
 	}
@@ -640,12 +640,12 @@ func (h *RegionHealth) addError(err error) {
 }
 
 // FetchRegion downloads all tiles of a layer whose coordinates fall in
-// [tx0,tx1]×[ty0,ty1] and stitches them into one map — the vehicle's
+// [tx0,tx1]×[ty0,ty1] and lands them in one map — the vehicle's
 // map-region pull. The health report says whether the result is fully
 // fresh or degraded; with a Cache configured, server failures degrade
-// to last-known-good tiles instead of failing the whole stitch. An
+// to last-known-good tiles instead of failing the whole pull. An
 // error is returned only when no usable region can be assembled at
-// all.
+// all. The map shares backing arrays as DecodeBinary's does.
 func (c *Client) FetchRegion(ctx context.Context, layer string, tx0, ty0, tx1, ty1 int32, name string) (*core.Map, *RegionHealth, error) {
 	// One region pull is one trace; the per-tile getTile calls inherit
 	// the ID rather than minting their own, and their spans nest under
@@ -684,7 +684,7 @@ func (c *Client) FetchRegion(ctx context.Context, layer string, tx0, ty0, tx1, t
 		}
 	}
 
-	tiles := make([]*core.Map, 0, len(listed))
+	tiles := make([]*parsedTile, 0, len(listed))
 	for _, e := range listed {
 		st, _ := e.ReplicaState() // absent when the entry carries none
 		if !win.Contains(e.TX, e.TY) || st.Tomb {
@@ -727,20 +727,20 @@ func (c *Client) FetchRegion(ctx context.Context, layer string, tx0, ty0, tx1, t
 		}
 		return nil, nil, fmt.Errorf("region empty: %w", ErrNoTile)
 	}
-	m, err := stitch(name, tiles)
+	m, err := mapOf(name, tiles...)
 	if err != nil {
 		return nil, nil, err
 	}
 	return m, health, nil
 }
 
-// revalidated decodes the Cache's copy of a tile the manifest lists in
+// revalidated parses the Cache's copy of a tile the manifest lists in
 // the state that copy was fetched under — same clock, same write-time
-// checksum, and the copy was verified against that checksum and decoded
+// checksum, and the copy was verified against that checksum and parsed
 // when it was stored — so the server would send these bytes again. Nil
 // when the manifest gave no state, or another, when nothing is cached,
-// and when the cached bytes no longer decode: the tile is then fetched.
-func (c *Client) revalidated(key TileKey, listed ReplicaState) *core.Map {
+// and when the cached bytes no longer parse: the tile is then fetched.
+func (c *Client) revalidated(key TileKey, listed ReplicaState) *parsedTile {
 	if c.Cache == nil || !listed.Found {
 		return nil
 	}
@@ -748,18 +748,18 @@ func (c *Client) revalidated(key TileKey, listed ReplicaState) *core.Map {
 	if cached == nil || cached.state != listed {
 		return nil
 	}
-	tile, err := DecodeBinary(cached.data)
+	tile, err := parseTile(cached.data)
 	if err != nil {
 		return nil
 	}
 	return tile
 }
 
-// staleTile decodes the cache's last-known-good copy of a tile the
+// staleTile parses the cache's last-known-good copy of a tile the
 // server failed to provide; nil when there is none. A cached payload
-// that no longer decodes costs the region that one tile (and an entry
+// that no longer parses costs the region that one tile (and an entry
 // in health.Errors), not the rest.
-func (c *Client) staleTile(key TileKey, health *RegionHealth) *core.Map {
+func (c *Client) staleTile(key TileKey, health *RegionHealth) *parsedTile {
 	if c.Cache == nil {
 		return nil
 	}
@@ -767,7 +767,7 @@ func (c *Client) staleTile(key TileKey, health *RegionHealth) *core.Map {
 	if !ok {
 		return nil
 	}
-	tile, err := DecodeBinary(cached)
+	tile, err := parseTile(cached)
 	if err != nil {
 		health.addError(fmt.Errorf("%v: cached tile: %w", key, err))
 		return nil

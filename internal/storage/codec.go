@@ -359,20 +359,33 @@ func encodeSubset(m *core.Map, name string, clock uint64, ids *kindIDs) []byte {
 	return e.encode(name, clock)
 }
 
-// arenaChunk caps one vertex arena chunk (32 KiB of Vec2): big enough
-// that a tile's polylines share a handful of allocations, small enough
-// that one surviving polyline never pins much more than itself.
-const arenaChunk = 2048
+// The decoder carves every polyline and ID list out of arenas — chunks
+// shared by the lists of one payload — instead of allocating each. One
+// rule sizes a chunk: never less than the list that asked for it, and
+// beyond that no more than the rest of the input could still fill (a
+// vertex takes at least 2 bytes; ID lists are sparse, so theirs counts
+// on one ID per 8 bytes), up to a cap small enough that a 2 KB tile does
+// not pay for a city tile's chunk and that one surviving list never pins
+// much more than itself. A forged count is refused before it gets here.
+const (
+	// arenaChunk caps a vertex chunk (32 KiB of Vec2).
+	arenaChunk = 2048
+	// idChunk caps an ID chunk (512 bytes).
+	idChunk = 64
+)
 
-// reader is a cursor over an encoded payload. buf is the unread rest
-// of the input. The first failure is sticky: it is recorded in err and
-// buf is dropped, so every later read fails fast and returns zero —
+// reader is a cursor over an encoded payload: buf is the whole input and
+// off how much of it was read, an integer so that no field read stores a
+// pointer. The first failure is sticky: it is recorded in err and off
+// moves to the end, so every later read fails fast and returns zero —
 // callers decode a whole element and check err once.
 type reader struct {
 	buf []byte
+	off int
 	err error
-	// verts is the unused tail of the current vertex arena chunk.
+	// verts and ids are the unused tails of the current arena chunks.
 	verts []geo.Vec2
+	ids   []core.ID
 	// strs interns the few short strings (attr keys, Meta.Source) that
 	// repeat on every element of a tile.
 	strs map[string]string
@@ -382,35 +395,68 @@ func (r *reader) fail(format string, args ...interface{}) {
 	if r.err == nil {
 		r.err = fmt.Errorf("%w: %s", ErrBadFormat, fmt.Sprintf(format, args...))
 	}
-	r.buf = nil
+	r.off = len(r.buf)
+}
+
+// rest is how many bytes are still unread.
+func (r *reader) rest() int { return len(r.buf) - r.off }
+
+// uvarintFast reads a one- or two-byte uvarint at buf[off:] — nearly
+// every field of a tile — and returns it with the offset after it. Any
+// other, and one that ends the input, it leaves to uvarintSlow, and
+// returns off. It is small enough to be inlined.
+func uvarintFast(buf []byte, off int) (uint64, int) {
+	if off+1 < len(buf) {
+		b0, b1 := buf[off], buf[off+1]
+		if b0 < 0x80 {
+			return uint64(b0), off + 1
+		}
+		if b1 < 0x80 {
+			return uint64(b0&0x7f) | uint64(b1)<<7, off + 2
+		}
+	}
+	return 0, off
+}
+
+// uvarintSlow reads any uvarint at buf[off:]; the offset it returns is
+// negative when the varint is truncated or overlong.
+func uvarintSlow(buf []byte, off int) (uint64, int) {
+	v, n := binary.Uvarint(buf[off:])
+	if n <= 0 {
+		return 0, -1
+	}
+	return v, off + n
+}
+
+// unzigzag is the signed value binary.Varint makes of a uvarint.
+func unzigzag(u uint64) int64 {
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
+	}
+	return v
 }
 
 func (r *reader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		r.fail("truncated or overlong varint")
-		return 0
+	v, next := uvarintFast(r.buf, r.off)
+	if next == r.off {
+		if v, next = uvarintSlow(r.buf, r.off); next < 0 {
+			r.fail("truncated or overlong varint")
+			return 0
+		}
 	}
-	r.buf = r.buf[n:]
+	r.off = next
 	return v
 }
 
-func (r *reader) varint() int64 {
-	v, n := binary.Varint(r.buf)
-	if n <= 0 {
-		r.fail("truncated or overlong varint")
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
+func (r *reader) varint() int64 { return unzigzag(r.uvarint()) }
 
 // count reads an element count and rejects one the rest of the input
 // cannot hold at minBytes per element, so a forged count never sizes an
 // allocation.
 func (r *reader) count(what string, minBytes int) int {
 	n := r.uvarint()
-	if n > uint64(len(r.buf)/minBytes) {
+	if n > uint64(r.rest()/minBytes) {
 		r.fail("%s count %d exceeds remaining input", what, n)
 		return 0
 	}
@@ -420,8 +466,8 @@ func (r *reader) count(what string, minBytes int) int {
 // bytes returns a length-prefixed field as a slice of the input.
 func (r *reader) bytes() []byte {
 	n := r.count("string byte", 1)
-	b := r.buf[:n]
-	r.buf = r.buf[n:]
+	b := r.buf[r.off : r.off+n]
+	r.off += n
 	return b
 }
 
@@ -446,37 +492,65 @@ func (r *reader) interned() string {
 }
 
 func (r *reader) float() float64 {
-	if len(r.buf) < 8 {
+	if r.rest() < 8 {
 		r.fail("unexpected end of input")
 		return 0
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf))
-	r.buf = r.buf[8:]
+	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.off:]))
+	r.off += 8
 	return v
 }
 
-// polyline carves the vertices out of the decode's arena. The slice is
-// capacity-capped, so appending to one polyline reallocates it instead
-// of writing into its neighbour.
+// carve takes n elements off the front of an arena, first replacing an
+// arena too short for them with a new chunk: room for what the rest of
+// the input could still fill at bytesPer bytes an element, up to limit.
+// The slice is capacity-capped, so appending to it reallocates it
+// instead of writing into its neighbour.
+func carve[T any](arena *[]T, n, rest, bytesPer, limit int) []T {
+	if n > len(*arena) {
+		*arena = make([]T, max(n, min(limit, rest/bytesPer)))
+	}
+	out := (*arena)[:n:n]
+	*arena = (*arena)[n:]
+	return out
+}
+
+// polyline carves the vertices out of the decode's vertex arena.
 func (r *reader) polyline() geo.Polyline {
 	// Each vertex is two varints of >= 1 byte each.
 	n := r.count("polyline vertex", 2)
 	if n == 0 {
 		return geo.Polyline{}
 	}
-	if n > len(r.verts) {
-		// A new chunk: room for what the rest of the input can still
-		// hold (already >= n), up to arenaChunk.
-		r.verts = make([]geo.Vec2, max(n, min(arenaChunk, len(r.buf)/2)))
-	}
-	out := r.verts[:n:n]
-	r.verts = r.verts[n:]
+	out := carve(&r.verts, n, r.rest(), 2, arenaChunk)
+	// The cursor stays in locals for the length of the loop.
+	buf, off := r.buf, r.off
 	var px, py int64
 	for i := range out {
-		px += r.varint()
-		py += r.varint()
+		dx, mid := uvarintFast(buf, off)
+		if mid == off {
+			if dx, mid = uvarintSlow(buf, off); mid < 0 {
+				off = mid
+				break
+			}
+		}
+		dy, end := uvarintFast(buf, mid)
+		if end == mid {
+			if dy, end = uvarintSlow(buf, mid); end < 0 {
+				off = end
+				break
+			}
+		}
+		off = end
+		px += unzigzag(dx)
+		py += unzigzag(dy)
 		out[i] = geo.V2(float64(px)*coordUnit, float64(py)*coordUnit)
 	}
+	if off < 0 {
+		r.fail("truncated or overlong varint")
+		return nil
+	}
+	r.off = off
 	return out
 }
 
@@ -504,12 +578,13 @@ func (r *reader) meta() core.Meta {
 	return m
 }
 
-func (r *reader) ids() []core.ID {
+// idList carves an ID list out of the decode's ID arena.
+func (r *reader) idList() []core.ID {
 	n := r.count("id", 1)
 	if n == 0 {
 		return nil
 	}
-	out := make([]core.ID, n)
+	out := carve(&r.ids, n, r.rest(), 8, idChunk)
 	for i := range out {
 		out[i] = core.ID(r.uvarint())
 	}

@@ -496,12 +496,12 @@ func (s *TileServer) handlePut(w http.ResponseWriter, r *http.Request, key TileK
 	}
 	// Tiles must decode as maps: the server refuses corrupt uploads so a
 	// bad producer cannot poison consumers.
-	tile, err := DecodeBinary(data)
+	tile, err := parseTile(data)
 	if err != nil {
 		writeJSONError(w, http.StatusUnprocessableEntity, fmt.Sprintf("invalid tile: %v", err))
 		return
 	}
-	clock := tile.Clock
+	clock := tile.clock
 	s.mu.Lock()
 	cur, curData := s.stateLocked(key)
 	if !s.checkExpectLocked(w, r, cur) {
@@ -539,7 +539,7 @@ func (s *TileServer) handlePut(w http.ResponseWriter, r *http.Request, key TileK
 // damaged copy cannot later replay as garbage.
 func (s *TileServer) putHintCopy(w http.ResponseWriter, key TileKey, data []byte) {
 	if _, terr := DecodeTombstone(data); terr != nil {
-		if _, err := DecodeBinary(data); err != nil {
+		if _, err := parseTile(data); err != nil {
 			writeJSONError(w, http.StatusUnprocessableEntity, fmt.Sprintf("invalid hint payload: %v", err))
 			return
 		}

@@ -805,11 +805,12 @@ func (t Tiler) SyncMap(store TileStore, m *core.Map, layer string) (SyncStats, e
 	return NewPublisher(t, store, layer).Sync(m)
 }
 
-// LoadMap reads all tiles of a layer and stitches them into one map.
+// LoadMap reads all tiles of a layer and lands them in one map.
 // Element IDs are preserved (they were globally unique at split time);
 // a duplicated element across tiles is an error. The reassembled map's
 // logical clock is the maximum element stamp across tiles (per-tile
 // clocks are content-derived so unchanged tiles stay byte-identical).
+// The map shares backing arrays as DecodeBinary's does.
 func (t Tiler) LoadMap(store TileStore, layer, name string) (*core.Map, error) {
 	keys, err := store.Keys(layer)
 	if err != nil {
@@ -818,34 +819,15 @@ func (t Tiler) LoadMap(store TileStore, layer, name string) (*core.Map, error) {
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("layer %q: %w", layer, ErrNoTile)
 	}
-	tiles := make([]*core.Map, len(keys))
+	tiles := make([]*parsedTile, len(keys))
 	for i, key := range keys {
 		data, err := store.Get(key)
 		if err != nil {
 			return nil, err
 		}
-		if tiles[i], err = DecodeBinary(data); err != nil {
+		if tiles[i], err = parseTile(data); err != nil {
 			return nil, fmt.Errorf("storage: tile %v: %w", key, err)
 		}
 	}
-	return stitch(name, tiles)
-}
-
-// stitch merges decoded tile maps into one map, in the order given.
-// The tile maps are consumed: the result owns their elements. Its tables
-// are sized for the region once, not rehashed as each tile arrives.
-func stitch(name string, tiles []*core.Map) (*core.Map, error) {
-	out := core.NewMap(name)
-	var points, lines, areas, lanelets, bundles, regs int
-	for _, tm := range tiles {
-		p, l, a, ll, b, r := tm.Counts()
-		points, lines, areas, lanelets, bundles, regs = points+p, lines+l, areas+a, lanelets+ll, bundles+b, regs+r
-	}
-	out.Reserve(points, lines, areas, lanelets, bundles, regs)
-	for _, tm := range tiles {
-		if err := out.Absorb(tm); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return mapOf(name, tiles...)
 }

@@ -97,7 +97,7 @@ func DecodeTombstone(data []byte) (Tombstone, error) {
 	t.Created = r.uvarint()
 	t.TTLSeconds = r.uvarint()
 	// The CRC covers every byte before it.
-	crcAt := len(data) - len(r.buf)
+	crcAt := r.off
 	want := r.uvarint()
 	if r.err != nil {
 		return t, r.err
@@ -105,8 +105,8 @@ func DecodeTombstone(data []byte) (Tombstone, error) {
 	if got := uint64(crc32.Checksum(data[:crcAt], castagnoli)); got != want {
 		return t, fmt.Errorf("%w: tombstone crc mismatch", ErrBadFormat)
 	}
-	if len(r.buf) != 0 {
-		return t, fmt.Errorf("%w: %d trailing bytes after tombstone", ErrBadFormat, len(r.buf))
+	if r.rest() != 0 {
+		return t, fmt.Errorf("%w: %d trailing bytes after tombstone", ErrBadFormat, r.rest())
 	}
 	// Canonical-form check: varints admit padded encodings, and a
 	// padded marker would break the byte-identical-replicas invariant
