@@ -129,6 +129,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSanitizeTraceID -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz=FuzzVerifyMap -fuzztime=$(FUZZTIME) ./internal/mapverify
 	$(GO) test -run='^$$' -fuzz=FuzzVerifyDelta -fuzztime=$(FUZZTIME) ./internal/mapverify
+	$(GO) test -run='^$$' -fuzz=FuzzGateDelta -fuzztime=$(FUZZTIME) ./internal/update/ingest
 
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBinary$$' -fuzztime=5m ./internal/storage

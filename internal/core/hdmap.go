@@ -243,6 +243,20 @@ func (m *Map) UpdatePoint(id ID, change func(*PointElement)) error {
 	return nil
 }
 
+// UpdateLine is UpdatePoint for a line element, and also forgets the
+// line's cached bounds, so that a change to its geometry shows in
+// Bounds at once.
+func (m *Map) UpdateLine(id ID, change func(*LineElement)) error {
+	l, ok := m.lines[id]
+	if !ok {
+		return fmt.Errorf("update line %d: %w", id, ErrNotFound)
+	}
+	change(l)
+	l.invalidate()
+	l.Meta.touch(m.Tick())
+	return nil
+}
+
 // --- Iteration (deterministic order) --------------------------------------
 
 // PointIDs returns all point IDs in ascending order.
@@ -272,6 +286,15 @@ func orderedIDs[T any](table map[ID]*T, order []ID) []ID {
 	out := make([]ID, len(order))
 	copy(out, order)
 	return out
+}
+
+// orderOf is orderedIDs for a caller inside the package that only
+// reads: the remembered order itself when there is one.
+func orderOf[T any](table map[ID]*T, order []ID) []ID {
+	if order == nil {
+		return sortedIDs(table)
+	}
+	return order
 }
 
 func learnOrder[T any](order *[]ID, table map[ID]*T) {
@@ -432,6 +455,30 @@ func (m *Map) Bounds() geo.AABB {
 	}
 	for _, a := range m.areas {
 		box = box.Union(a.Bounds())
+	}
+	return box
+}
+
+// BoundsOf is Bounds over the physical elements m holds under the IDs
+// ch names. The union of boxes does not depend on the order it is taken
+// in, NaN and infinite coordinates included, so Bounds of a map is
+// BoundsOf its changed elements united with Bounds of the rest.
+func (m *Map) BoundsOf(ch Changes) geo.AABB {
+	box := geo.EmptyAABB()
+	for id := range ch.Points {
+		if p, ok := m.points[id]; ok {
+			box = box.Union(p.Bounds())
+		}
+	}
+	for id := range ch.Lines {
+		if l, ok := m.lines[id]; ok {
+			box = box.Union(l.Bounds())
+		}
+	}
+	for id := range ch.Areas {
+		if a, ok := m.areas[id]; ok {
+			box = box.Union(a.Bounds())
+		}
 	}
 	return box
 }

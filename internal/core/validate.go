@@ -20,24 +20,47 @@ func (v ValidationIssue) String() string {
 
 // Validate checks structural and geometric invariants of the map:
 //
-//   - every line has ≥2 vertices and finite coordinates;
-//   - every area outline has ≥3 vertices and finite coordinates;
+//   - every point has a finite position, a known class and a confidence
+//     within [0,1];
+//   - every line has non-degenerate geometry (GeometryIssue: ≥2
+//     vertices, finite, non-zero length) and a confidence within [0,1];
+//   - every area outline has non-degenerate geometry (≥3 vertices);
 //   - every lanelet references existing left/right bounds, has a
-//     non-degenerate finite centreline, a finite non-negative speed
-//     limit, and existing successors/neighbours;
-//   - every bundle references existing lanelets;
-//   - every regulatory element references existing devices and lanelets;
-//   - confidences are within [0,1].
+//     non-degenerate centreline, a finite non-negative speed limit, and
+//     existing successors, neighbours and regulatory elements;
+//   - every bundle groups at least one lanelet, all of them existing;
+//   - every regulatory element references existing devices, stop line
+//     and lanelets.
 //
-// It returns all issues found (nil when the map is consistent).
-func (m *Map) Validate() []ValidationIssue {
+// No other confidence is checked. It returns all issues found (nil when
+// the map is consistent): table by table — points, lines, areas,
+// lanelets, bundles, regulatory elements — in ascending ID order.
+func (m *Map) Validate() []ValidationIssue { return m.ValidateOnly(nil) }
+
+// ValidateOnly is Validate restricted to the elements c lists, in the
+// same order; nil checks every element. With c = m.ClosureFrom(parent,
+// m.ChangedFrom(parent)) for a parent whose Validate found nothing, it
+// returns exactly what Validate does: every element outside c reads what
+// it read in parent (see the contract above Closure), so it has no issue
+// either.
+func (m *Map) ValidateOnly(c *Closure) []ValidationIssue {
+	if c == nil {
+		c = &Closure{
+			Points: orderOf(m.points, m.pointOrder), Lines: orderOf(m.lines, m.lineOrder),
+			Areas: orderOf(m.areas, m.areaOrder), Lanelets: orderOf(m.lanelets, m.laneletOrder),
+			Bundles: orderOf(m.bundles, m.bundleOrder), Regs: orderOf(m.regs, m.regOrder),
+		}
+	}
 	var issues []ValidationIssue
 	bad := func(id ID, format string, args ...interface{}) {
 		issues = append(issues, ValidationIssue{ID: id, Reason: fmt.Sprintf(format, args...)})
 	}
 
-	for _, id := range m.PointIDs() {
-		p := m.points[id]
+	for _, id := range c.Points {
+		p, ok := m.points[id]
+		if !ok {
+			continue
+		}
 		if !finiteV3(p.Pos) {
 			bad(id, "non-finite point position")
 		}
@@ -48,8 +71,11 @@ func (m *Map) Validate() []ValidationIssue {
 			bad(id, "confidence %v out of range", p.Meta.Confidence)
 		}
 	}
-	for _, id := range m.LineIDs() {
-		l := m.lines[id]
+	for _, id := range c.Lines {
+		l, ok := m.lines[id]
+		if !ok {
+			continue
+		}
 		if iss := GeometryIssue(l.Geometry, 2); iss != "" {
 			bad(id, "line %s", iss)
 		}
@@ -57,14 +83,20 @@ func (m *Map) Validate() []ValidationIssue {
 			bad(id, "confidence %v out of range", l.Meta.Confidence)
 		}
 	}
-	for _, id := range m.AreaIDs() {
-		a := m.areas[id]
+	for _, id := range c.Areas {
+		a, ok := m.areas[id]
+		if !ok {
+			continue
+		}
 		if iss := GeometryIssue(geo.Polyline(a.Outline), 3); iss != "" {
 			bad(id, "area %s", iss)
 		}
 	}
-	for _, id := range m.LaneletIDs() {
-		l := m.lanelets[id]
+	for _, id := range c.Lanelets {
+		l, ok := m.lanelets[id]
+		if !ok {
+			continue
+		}
 		if _, ok := m.lines[l.Left]; !ok {
 			bad(id, "missing left bound %d", l.Left)
 		}
@@ -82,7 +114,7 @@ func (m *Map) Validate() []ValidationIssue {
 				bad(id, "missing successor %d", s)
 			}
 		}
-		for _, nb := range []ID{l.LeftNeighbor, l.RightNeighbor} {
+		for _, nb := range [...]ID{l.LeftNeighbor, l.RightNeighbor} {
 			if nb != NilID {
 				if _, ok := m.lanelets[nb]; !ok {
 					bad(id, "missing neighbor %d", nb)
@@ -95,8 +127,11 @@ func (m *Map) Validate() []ValidationIssue {
 			}
 		}
 	}
-	for _, id := range m.BundleIDs() {
-		b := m.bundles[id]
+	for _, id := range c.Bundles {
+		b, ok := m.bundles[id]
+		if !ok {
+			continue
+		}
 		if len(b.Lanelets) == 0 {
 			bad(id, "empty bundle")
 		}
@@ -106,8 +141,11 @@ func (m *Map) Validate() []ValidationIssue {
 			}
 		}
 	}
-	for _, id := range m.RegulatoryIDs() {
-		r := m.regs[id]
+	for _, id := range c.Regs {
+		r, ok := m.regs[id]
+		if !ok {
+			continue
+		}
 		for _, d := range r.Devices {
 			if _, ok := m.points[d]; !ok {
 				bad(id, "missing device %d", d)

@@ -19,11 +19,11 @@ import (
 // report back for the next step of a chain.
 func sameAsFull(t testing.TB, parent *core.Map, prev *mapverify.Report, next *core.Map, cfg mapverify.Config, what string) *mapverify.Report {
 	t.Helper()
-	var ch core.Changes
+	var dirty *core.Closure
 	if parent != nil {
-		ch = next.ChangedFrom(parent)
+		dirty = next.ClosureFrom(parent, next.ChangedFrom(parent))
 	}
-	got := mapverify.VerifyFrom(parent, prev, next, ch, cfg)
+	got := mapverify.VerifyFrom(prev, next, dirty, cfg)
 	want := mapverify.Verify(next, cfg)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: report from the parent differs from the full pass\n got: %d errors %d warnings truncated=%v %v\nwant: %d errors %d warnings truncated=%v %v",

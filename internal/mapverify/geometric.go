@@ -23,10 +23,7 @@ const maxIntersectSegs = 256
 // (vertex jumps, self-intersection, curvature) and lanelet-vs-bounds
 // rules (width corridor, wrong-sided bounds, crossing bounds).
 func (e *engine) geometric() {
-	for _, id := range e.m.PointIDs() {
-		if !e.checks(id) {
-			continue
-		}
+	for _, id := range e.points {
 		p, err := e.m.Point(id)
 		if err != nil {
 			continue
@@ -35,30 +32,22 @@ func (e *engine) geometric() {
 			e.add(RuleNonFinite, SevError, id, "non-finite point position or heading")
 		}
 	}
-	for _, id := range e.m.LineIDs() {
-		if !e.checks(id) {
-			continue
-		}
+	for _, id := range e.lines {
 		l, err := e.m.Line(id)
 		if err != nil {
 			continue
 		}
 		e.checkPolyline(id, "line", l.Geometry, 2)
 	}
-	for _, id := range e.m.AreaIDs() {
-		if !e.checks(id) {
-			continue
-		}
+	for _, id := range e.areas {
 		a, err := e.m.Area(id)
 		if err != nil {
 			continue
 		}
 		e.checkPolyline(id, "area outline", geo.Polyline(a.Outline), 3)
 	}
-	for _, id := range e.m.LaneletIDs() {
-		if e.checks(id) {
-			e.laneletGeometry(id)
-		}
+	for _, id := range e.lanelets {
+		e.laneletGeometry(id)
 	}
 }
 

@@ -241,18 +241,16 @@ type engine struct {
 	// Violations slice, so error-preferential eviction at the cap can
 	// bail out in O(1) once only errors remain.
 	warnsKept int
-	// dirty, when set, limits the run to elements under these IDs (see
+	// dirty, when set, limits the run to the elements of a closure (see
 	// delta.go); nil checks every element.
-	dirty map[core.ID]struct{}
+	dirty *core.Closure
+	// The IDs of each table the run covers, ascending.
+	points, lines, areas, lanelets, bundles, regs []core.ID
 }
 
 // checks reports whether the run covers the element(s) under id.
 func (e *engine) checks(id core.ID) bool {
-	if e.dirty == nil {
-		return true
-	}
-	_, ok := e.dirty[id]
-	return ok
+	return e.dirty == nil || e.dirty.Has(id)
 }
 
 // add records one violation, honouring per-rule disables and the cap.
@@ -295,18 +293,25 @@ func (e *engine) add(rule string, sev Severity, id core.ID, format string, args 
 // It never mutates the map, never panics on structurally weird (e.g.
 // fuzz-decoded) input, and does bounded work per element.
 func Verify(m *core.Map, cfg Config) *Report {
-	return VerifyFrom(nil, nil, m, core.Changes{}, cfg)
+	return VerifyFrom(nil, m, nil, cfg)
 }
 
-// run applies every enabled rule to the elements under the dirty IDs,
+// run applies every enabled rule to the elements of the dirty closure,
 // to every element when dirty is nil, and returns the findings unsorted.
-func run(m *core.Map, cfg Config, dirty map[core.ID]struct{}) *Report {
+func run(m *core.Map, cfg Config, dirty *core.Closure) *Report {
 	e := &engine{
 		m:     m,
 		cfg:   cfg,
 		off:   make(map[string]bool, len(cfg.Disable)),
 		rep:   &Report{Checked: m.NumElements()},
 		dirty: dirty,
+	}
+	if dirty == nil {
+		e.points, e.lines, e.areas = m.PointIDs(), m.LineIDs(), m.AreaIDs()
+		e.lanelets, e.bundles, e.regs = m.LaneletIDs(), m.BundleIDs(), m.RegulatoryIDs()
+	} else {
+		e.points, e.lines, e.areas = dirty.Points, dirty.Lines, dirty.Areas
+		e.lanelets, e.bundles, e.regs = dirty.Lanelets, dirty.Bundles, dirty.Regs
 	}
 	for _, r := range cfg.Disable {
 		e.off[r] = true

@@ -13,10 +13,7 @@ import (
 // out-of-range enum survives the binary codec — it is one byte — so
 // the verifier is the layer that catches it).
 func (e *engine) semantic() {
-	for _, id := range e.m.PointIDs() {
-		if !e.checks(id) {
-			continue
-		}
+	for _, id := range e.points {
 		p, err := e.m.Point(id)
 		if err != nil {
 			continue
@@ -25,10 +22,7 @@ func (e *engine) semantic() {
 			e.add(RuleTaxonomy, SevError, id, "unknown point class %d", uint8(p.Class))
 		}
 	}
-	for _, id := range e.m.LineIDs() {
-		if !e.checks(id) {
-			continue
-		}
+	for _, id := range e.lines {
 		l, err := e.m.Line(id)
 		if err != nil {
 			continue
@@ -40,10 +34,7 @@ func (e *engine) semantic() {
 			e.add(RuleTaxonomy, SevError, id, "unknown boundary type %d", uint8(l.Boundary))
 		}
 	}
-	for _, id := range e.m.AreaIDs() {
-		if !e.checks(id) {
-			continue
-		}
+	for _, id := range e.areas {
 		a, err := e.m.Area(id)
 		if err != nil {
 			continue
@@ -53,10 +44,7 @@ func (e *engine) semantic() {
 		}
 	}
 
-	for _, id := range e.m.LaneletIDs() {
-		if !e.checks(id) {
-			continue
-		}
+	for _, id := range e.lanelets {
 		l, err := e.m.Lanelet(id)
 		if err != nil {
 			continue
@@ -96,10 +84,7 @@ func (e *engine) semantic() {
 		}
 	}
 
-	for _, id := range e.m.RegulatoryIDs() {
-		if !e.checks(id) {
-			continue
-		}
+	for _, id := range e.regs {
 		r, err := e.m.Regulatory(id)
 		if err != nil {
 			continue

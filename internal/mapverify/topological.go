@@ -24,19 +24,21 @@ type endInfo struct {
 // edges BuildRouteGraph consumes — so a map that verifies here yields
 // a routing graph without dangling nodes.
 func (e *engine) topological() {
-	laneletIDs := e.m.LaneletIDs()
+	_, _, _, lanelets, _, _ := e.m.Counts()
 
-	// Predecessor fan-in (for the orphan and arity checks), counted over
-	// the sorted ID list on first use: a run that covers no lanelet
-	// never pays for it.
+	// Predecessor fan-in of the lanelets the run covers (for the orphan
+	// and arity checks), counted over every lanelet on first use: a run
+	// that covers no lanelet never pays for it.
 	var predCount map[core.ID]int
 	fanIn := func(id core.ID) int {
 		if predCount == nil {
-			predCount = make(map[core.ID]int, len(laneletIDs))
-			for _, id := range laneletIDs {
+			predCount = make(map[core.ID]int, len(e.lanelets))
+			for _, id := range e.m.LaneletIDs() {
 				if l, err := e.m.Lanelet(id); err == nil {
 					for _, s := range l.Successors {
-						predCount[s]++
+						if e.checks(s) {
+							predCount[s]++
+						}
 					}
 				}
 			}
@@ -45,11 +47,7 @@ func (e *engine) topological() {
 	}
 	// Per-lanelet endpoint cache, filled as links are followed; at most
 	// every lanelet the run covers and their successors end up in it.
-	room := len(laneletIDs)
-	if e.dirty != nil && len(e.dirty) < room {
-		room = len(e.dirty)
-	}
-	ends := make(map[core.ID]endInfo, room)
+	ends := make(map[core.ID]endInfo, len(e.lanelets))
 	end := func(id core.ID, l *core.Lanelet) endInfo {
 		info, ok := ends[id]
 		if ok {
@@ -70,10 +68,7 @@ func (e *engine) topological() {
 		return info
 	}
 
-	for _, id := range laneletIDs {
-		if !e.checks(id) {
-			continue
-		}
+	for _, id := range e.lanelets {
 		l, err := e.m.Lanelet(id)
 		if err != nil {
 			continue
@@ -84,7 +79,7 @@ func (e *engine) topological() {
 		if _, err := e.m.Line(l.Right); err != nil {
 			e.add(RuleDanglingRef, SevError, id, "right bound %d does not exist", l.Right)
 		}
-		for _, nb := range []core.ID{l.LeftNeighbor, l.RightNeighbor} {
+		for _, nb := range [...]core.ID{l.LeftNeighbor, l.RightNeighbor} {
 			if nb == core.NilID {
 				continue
 			}
@@ -128,16 +123,13 @@ func (e *engine) topological() {
 			e.add(RuleArity, SevWarn, id,
 				"merge of %d predecessors (max %d)", in, e.cfg.MaxFanout)
 		}
-		if len(laneletIDs) > 1 && len(l.Successors) == 0 && fanIn(id) == 0 &&
+		if lanelets > 1 && len(l.Successors) == 0 && fanIn(id) == 0 &&
 			l.LeftNeighbor == core.NilID && l.RightNeighbor == core.NilID {
 			e.add(RuleOrphan, SevWarn, id, "lanelet has no successors, predecessors, or neighbors")
 		}
 	}
 
-	for _, id := range e.m.BundleIDs() {
-		if !e.checks(id) {
-			continue
-		}
+	for _, id := range e.bundles {
 		b, err := e.m.Bundle(id)
 		if err != nil {
 			continue
@@ -152,10 +144,7 @@ func (e *engine) topological() {
 		}
 	}
 
-	for _, id := range e.m.RegulatoryIDs() {
-		if !e.checks(id) {
-			continue
-		}
+	for _, id := range e.regs {
 		r, err := e.m.Regulatory(id)
 		if err != nil {
 			continue

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"hdmaps/internal/core"
+	"hdmaps/internal/geo"
 	"hdmaps/internal/mapverify"
 	"hdmaps/internal/obs"
 )
@@ -107,24 +108,42 @@ func (e *GateError) Error() string {
 // parent (nil parent = genesis commit, delta constraints skipped). It
 // returns nil when the candidate may be published.
 func CheckCommit(parent, next *core.Map, cfg GateConfig) []GateViolation {
-	out, _ := checkCommit(parent, nil, next, core.Changes{}, cfg)
+	out, _ := checkCommit(parent, passed{}, next, core.Changes{}, cfg)
 	return out
 }
 
-// checkCommit is CheckCommit for a caller that kept prev, the report
-// this gate's constraint engine made of parent (nil when it did not),
-// and worked out ch, next.ChangedFrom(parent): the engine then
-// re-checks only what the step from parent to next can have affected.
-// It also returns the engine's report of next, for the caller to keep
-// in turn; nil when the engine is disabled.
-func checkCommit(parent *core.Map, prev *mapverify.Report, next *core.Map, ch core.Changes, cfg GateConfig) ([]GateViolation, *mapverify.Report) {
+// passed is what the gate found of a map it let through, kept beside
+// it to check the next commit from; the zero value knows nothing. A map
+// that passed has no Validate issue.
+type passed struct {
+	ok bool
+	// verified is the constraint engine's report of the map, nil when
+	// the engine is disabled.
+	verified *mapverify.Report
+	// box is the map's Bounds.
+	box geo.AABB
+}
+
+// checkCommit is CheckCommit for a caller that knows from, what the
+// gate found when parent passed it, and ch, next.ChangedFrom(parent):
+// then invariants 1 and 4 look only at what the step from parent to
+// next can have affected — the closure of ch for Validate and the
+// constraint engine, the changed elements for the bounds — and come
+// out as CheckCommit's would. With from.ok false everything is checked
+// (and ch is not read). It also returns the engine's report of next,
+// for the caller to keep in turn; nil when the engine is disabled.
+func checkCommit(parent *core.Map, from passed, next *core.Map, ch core.Changes, cfg GateConfig) ([]GateViolation, *mapverify.Report) {
 	cfg.defaults()
 	var out []GateViolation
 	var rep *mapverify.Report
+	var dirty *core.Closure // nil: check every element
+	if from.ok {
+		dirty = next.ClosureFrom(parent, ch)
+	}
 
 	// Invariant 1: the candidate is structurally and geometrically
 	// consistent on its own.
-	issues := next.Validate()
+	issues := next.ValidateOnly(dirty)
 	for i, iss := range issues {
 		if i >= 8 { // cap the report, keep the count
 			out = append(out, GateViolation{
@@ -139,7 +158,7 @@ func checkCommit(parent *core.Map, prev *mapverify.Report, next *core.Map, ch co
 	// findings block like any other invariant; Warns never do. The
 	// report is capped the same way the validate family is.
 	if !cfg.DisableVerify {
-		rep = mapverify.VerifyFrom(parent, prev, next, ch, cfg.Verify)
+		rep = mapverify.VerifyFrom(from.verified, next, dirty, cfg.Verify)
 		shown := 0
 		for _, v := range rep.Violations {
 			if v.Severity != mapverify.SevError {
@@ -193,11 +212,20 @@ func checkCommit(parent *core.Map, prev *mapverify.Report, next *core.Map, ch co
 
 	// Invariant 4: geometry stays inside the parent's service area
 	// (plus margin). Mis-georeferenced batches land kilometres away.
+	// Starting from a parent that passed, whose elements are all finite
+	// and inside its box, only the changed elements can leave the box —
+	// and a NaN or infinite coordinate among them decides the test as it
+	// would in the whole of next's box (see BoundsOf).
 	if cfg.BoundsMargin >= 0 {
-		pb := parent.Bounds().Expand(cfg.BoundsMargin)
-		nb := next.Bounds()
+		var pb, nb geo.AABB
+		if from.ok {
+			pb, nb = from.box.Expand(cfg.BoundsMargin), next.BoundsOf(ch)
+		} else {
+			pb, nb = parent.Bounds().Expand(cfg.BoundsMargin), next.Bounds()
+		}
 		if !pb.IsEmpty() && !nb.IsEmpty() &&
 			(nb.Min.X < pb.Min.X || nb.Min.Y < pb.Min.Y || nb.Max.X > pb.Max.X || nb.Max.Y > pb.Max.Y) {
+			nb = next.Bounds()
 			out = append(out, GateViolation{
 				Invariant: "bounds",
 				Detail: fmt.Sprintf("geometry extends to %v..%v, outside parent+%gm",

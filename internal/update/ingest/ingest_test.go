@@ -5,6 +5,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -367,5 +370,94 @@ func TestVersionStoreDirPersistence(t *testing.T) {
 	}
 	if _, err := OpenVersionDir(dir, GateConfig{}); !errors.Is(err, ErrCorruptVersion) {
 		t.Errorf("corrupt archive opened: %v", err)
+	}
+}
+
+// TestVersionStoreRefusesGarbledManifest: a MANIFEST field that is not
+// what persist writes — a number that does not parse, is signed or out
+// of range, a byte count the version file does not have, a checksum
+// that does not match — or a garbled CURRENT refuses the store with
+// ErrCorruptVersion instead of loading a zero or a wrong count.
+func TestVersionStoreRefusesGarbledManifest(t *testing.T) {
+	dir := t.TempDir()
+	vs, err := OpenVersionDir(dir, GateConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vs.Commit(baseMap(3, 3), "genesis"); err != nil {
+		t.Fatal(err)
+	}
+	m := vs.Current()
+	m.AddPoint(core.PointElement{Class: core.ClassSign, Pos: geo.V3(15, 15, 2), Meta: core.Meta{Confidence: 0.6}})
+	if _, err := vs.Commit(m, "second version"); err != nil {
+		t.Fatal(err)
+	}
+	manifestPath, currentPath := filepath.Join(dir, "MANIFEST"), filepath.Join(dir, "CURRENT")
+	manifest, err := os.ReadFile(manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	current, err := os.ReadFile(currentPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(manifest)), "\n")
+	second := strings.Fields(lines[1]) // seq clock elements bytes checksum note...
+	bytes, _ := strconv.Atoi(second[3])
+
+	garble := func(field int, to string) string {
+		f := append([]string(nil), second...)
+		f[field] = to
+		return lines[0] + "\n" + strings.Join(f, " ") + "\n"
+	}
+	for _, tc := range []struct {
+		name, manifest, current string
+	}{
+		{"seq not a number", garble(0, "2x"), ""},
+		{"seq signed", garble(0, "+2"), ""},
+		{"clock not a number", garble(1, "12abc"), ""},
+		{"clock negative", garble(1, "-1"), ""},
+		{"clock out of range", garble(1, "18446744073709551616"), ""},
+		{"element count not a number", garble(2, "many"), ""},
+		{"element count empty", garble(2, ""), ""},
+		{"element count negative", garble(2, "-10"), ""},
+		{"byte count not a number", garble(3, "0x10"), ""},
+		{"byte count short of the file", garble(3, strconv.Itoa(bytes-1)), ""},
+		{"byte count beyond the file", garble(3, strconv.Itoa(bytes+1)), ""},
+		{"checksum", garble(4, "00000000"), ""},
+		{"too few fields", lines[0] + "\n" + strings.Join(second[:4], " ") + "\n", ""},
+		{"current not a number", string(manifest), "one"},
+		{"current beyond the log", string(manifest), "3"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cur := string(current)
+			if tc.current != "" {
+				cur = tc.current
+			}
+			if err := os.WriteFile(manifestPath, []byte(tc.manifest), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(currentPath, []byte(cur), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := OpenVersionDir(dir, GateConfig{}); !errors.Is(err, ErrCorruptVersion) {
+				t.Errorf("opened with a garbled %s: %v", tc.name, err)
+			}
+		})
+	}
+
+	// The untouched files still open, versions as committed.
+	if err := os.WriteFile(manifestPath, manifest, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(currentPath, current, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	back, err := OpenVersionDir(dir, GateConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := back.Versions(), vs.Versions(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopened versions %+v, committed %+v", got, want)
 	}
 }

@@ -3,6 +3,7 @@ package ingest
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -10,6 +11,7 @@ import (
 	"sync"
 
 	"hdmaps/internal/core"
+	"hdmaps/internal/geo"
 	"hdmaps/internal/mapverify"
 	"hdmaps/internal/obs"
 	"hdmaps/internal/storage"
@@ -91,7 +93,8 @@ var (
 	// version and none exists.
 	ErrEmptyStore = errors.New("ingest: version store is empty")
 	// ErrCorruptVersion is returned when an archived version fails its
-	// checksum on open.
+	// length or checksum on open, or the manifest or cursor recording
+	// the versions does not parse.
 	ErrCorruptVersion = errors.New("ingest: archived version corrupt")
 )
 
@@ -113,14 +116,15 @@ type VersionStore struct {
 	versions []archived
 	current  int       // current seq, 0 = none
 	frozen   *core.Map // decoded current, indexes frozen, read-only
-	// verified and encoded are the gate's constraint-engine report of
-	// frozen and its archive encoding with the position of every record,
-	// kept from the commit that made frozen so that the next commit can
-	// start from them; nil when frozen was decoded from the archive
-	// instead (on open, after Rollback).
-	verified *mapverify.Report
-	encoded  *storage.Encoding
-	metrics  *gateMetrics
+	// passed (what the gate found of frozen: its constraint-engine
+	// report and its box) and encoded (its archive encoding with the
+	// position of every record) are kept from the commit that made
+	// frozen so that the next commit can start from them; unset (the
+	// zero passed, nil) when frozen was decoded from the archive instead
+	// (on open, after Rollback).
+	passed
+	encoded *storage.Encoding
+	metrics *gateMetrics
 }
 
 // NewVersionStore creates an in-memory store gated by cfg.
@@ -159,26 +163,20 @@ func (vs *VersionStore) load() error {
 		if line == "" {
 			continue
 		}
-		parts := strings.SplitN(line, " ", 6)
-		if len(parts) < 5 {
-			return fmt.Errorf("ingest: bad manifest line %q", line)
-		}
-		var v Version
-		v.Seq, _ = strconv.Atoi(parts[0])
-		clock, _ := strconv.ParseUint(parts[1], 10, 64)
-		v.Clock = clock
-		v.Elements, _ = strconv.Atoi(parts[2])
-		v.Bytes, _ = strconv.Atoi(parts[3])
-		v.Checksum = parts[4]
-		if len(parts) == 6 {
-			v.Note = parts[5]
+		v, err := parseManifestLine(line)
+		if err != nil {
+			return err
 		}
 		if v.Seq != len(vs.versions)+1 {
-			return fmt.Errorf("ingest: manifest gap at seq %d", v.Seq)
+			return fmt.Errorf("ingest: manifest gap at seq %d: %w", v.Seq, ErrCorruptVersion)
 		}
 		data, err := os.ReadFile(vs.versionPath(v.Seq))
 		if err != nil {
 			return fmt.Errorf("ingest: read version %d: %w", v.Seq, err)
+		}
+		if len(data) != v.Bytes {
+			return fmt.Errorf("ingest: version %d: %d bytes, manifest says %d: %w",
+				v.Seq, len(data), v.Bytes, ErrCorruptVersion)
 		}
 		if got := storage.Checksum(data); got != v.Checksum {
 			return fmt.Errorf("ingest: version %d: checksum %s != manifest %s: %w",
@@ -194,7 +192,7 @@ func (vs *VersionStore) load() error {
 	} else {
 		cur, err := strconv.Atoi(strings.TrimSpace(string(curBytes)))
 		if err != nil || cur < 0 || cur > len(vs.versions) {
-			return fmt.Errorf("ingest: bad CURRENT %q", strings.TrimSpace(string(curBytes)))
+			return fmt.Errorf("ingest: bad CURRENT %q: %w", strings.TrimSpace(string(curBytes)), ErrCorruptVersion)
 		}
 		vs.current = cur
 	}
@@ -207,6 +205,29 @@ func (vs *VersionStore) load() error {
 		vs.frozen = m
 	}
 	return nil
+}
+
+// parseManifestLine reads one "seq clock elements bytes checksum [note]"
+// line as persist writes it: every number decimal digits only, in range,
+// or the manifest is ErrCorruptVersion.
+func parseManifestLine(line string) (Version, error) {
+	parts := strings.SplitN(line, " ", 6)
+	if len(parts) < 5 {
+		return Version{}, fmt.Errorf("ingest: bad manifest line %q: %w", line, ErrCorruptVersion)
+	}
+	var nums [4]uint64
+	for i, name := range [...]string{"seq", "clock", "element count", "byte count"} {
+		n, err := strconv.ParseUint(parts[i], 10, 64)
+		if err != nil || (i != 1 && n > math.MaxInt) {
+			return Version{}, fmt.Errorf("ingest: manifest line %q: bad %s: %w", line, name, ErrCorruptVersion)
+		}
+		nums[i] = n
+	}
+	v := Version{Seq: int(nums[0]), Clock: nums[1], Elements: int(nums[2]), Bytes: int(nums[3]), Checksum: parts[4]}
+	if len(parts) == 6 {
+		v.Note = parts[5]
+	}
+	return v, nil
 }
 
 // persist writes the manifest, one version file, and the cursor
@@ -254,10 +275,12 @@ func writeFileAtomic(path string, data []byte) error {
 // violated invariant. The commit is atomic: a version is either fully
 // archived and current, or absent.
 //
-// What m changed is worked out once, and the gate's constraint engine,
-// the next snapshot and the archive encoding are each made from the
-// current version's by redoing that much; a first commit does all
-// three in full. Nothing of the new version is kept unless it persists.
+// What m changed is worked out once, and the gate (its Validate, its
+// constraint engine and its bounds check), the next snapshot and the
+// archive encoding are each made from the current version's by redoing
+// that much; a first commit, or the first after Rollback or a reopen,
+// does them in full. Nothing of the new version is kept unless it
+// persists.
 func (vs *VersionStore) Commit(m *core.Map, note string) (Version, error) {
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
@@ -266,7 +289,7 @@ func (vs *VersionStore) Commit(m *core.Map, note string) (Version, error) {
 	if vs.frozen != nil {
 		ch = m.ChangedFrom(vs.frozen)
 	}
-	viol, verified := checkCommit(vs.frozen, vs.verified, m, ch, vs.gate)
+	viol, verified := checkCommit(vs.frozen, vs.passed, m, ch, vs.gate)
 	if len(viol) > 0 {
 		vs.metrics.observe(viol)
 		return Version{}, &GateError{Violations: viol}
@@ -278,6 +301,7 @@ func (vs *VersionStore) Commit(m *core.Map, note string) (Version, error) {
 		frozen = m.Clone()
 		frozen.FreezeIndexes()
 	}
+	next := passed{ok: true, verified: verified, box: nextBox(vs.frozen, vs.passed, frozen, ch)}
 	encoded := storage.EncodeFrom(vs.encoded, frozen, ch)
 	data := encoded.Bytes
 	info := Version{
@@ -296,8 +320,25 @@ func (vs *VersionStore) Commit(m *core.Map, note string) (Version, error) {
 		vs.current = prevCurrent
 		return Version{}, err
 	}
-	vs.frozen, vs.verified, vs.encoded = frozen, verified, encoded
+	vs.frozen, vs.passed, vs.encoded = frozen, next, encoded
 	return info, nil
+}
+
+// nextBox returns next.Bounds() for a next that succeeds parent by ch,
+// from the parent's box when the gate kept it. That box is the union of
+// the unchanged elements' boxes and the old boxes of the changed ones;
+// unless one of the latter reaches an edge of it, the unchanged ones
+// alone reach every edge, and next's box is the parent's united with
+// the changed elements' new boxes — exactly, with no walk over the map.
+func nextBox(parent *core.Map, from passed, next *core.Map, ch core.Changes) geo.AABB {
+	if !from.ok {
+		return next.Bounds()
+	}
+	box, old := from.box, parent.BoundsOf(ch)
+	if old.Min.X == box.Min.X || old.Min.Y == box.Min.Y || old.Max.X == box.Max.X || old.Max.Y == box.Max.Y {
+		return next.Bounds()
+	}
+	return box.Union(next.BoundsOf(ch))
 }
 
 // Rollback moves the current cursor n versions back (n ≥ 1) and
@@ -326,7 +367,7 @@ func (vs *VersionStore) Rollback(n int) (Version, error) {
 		vs.current = prev
 		return Version{}, err
 	}
-	vs.frozen, vs.verified, vs.encoded = m, nil, nil
+	vs.frozen, vs.passed, vs.encoded = m, passed{}, nil
 	return a.info, nil
 }
 
